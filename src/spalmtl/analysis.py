@@ -74,10 +74,11 @@ def task_mean_representation(model: MtlModel, examples: list, task_id: str,
     if not examples:
         raise ContractError("task_mean_representation needs a non-empty dataset")
     acc = None
-    for ex in examples:
-        enc = model.encode(ex.token_ids)
-        pooled = enc.per_layer_outputs[layer - 1].data[enc.attention_mask].mean(axis=0)
-        acc = pooled if acc is None else acc + pooled
+    with ad.no_graph():
+        for ex in examples:
+            enc = model.encode(ex.token_ids)
+            pooled = enc.per_layer_outputs[layer - 1].data[enc.attention_mask].mean(axis=0)
+            acc = pooled if acc is None else acc + pooled
     return RepSummary(task_id=task_id, layer=layer, vector=acc / len(examples))
 
 
@@ -232,10 +233,11 @@ def text_embedding(model: MtlModel, examples: list) -> np.ndarray:
     if not examples:
         raise ContractError("text_embedding needs a non-empty dataset")
     acc = None
-    for ex in examples:
-        enc = model.encode(ex.token_ids)
-        pooled = enc.final().data[enc.attention_mask].mean(axis=0)
-        acc = pooled if acc is None else acc + pooled
+    with ad.no_graph():
+        for ex in examples:
+            enc = model.encode(ex.token_ids)
+            pooled = enc.final().data[enc.attention_mask].mean(axis=0)
+            acc = pooled if acc is None else acc + pooled
     return acc / len(examples)
 
 

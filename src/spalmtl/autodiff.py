@@ -3,12 +3,28 @@
 A ``Tensor`` wraps an ndarray plus the closure that propagates an incoming
 gradient to its parents. The tape is just the implicit DAG of parent links;
 ``backward`` topologically sorts it and runs the closures in reverse. The
-graph is rebuilt on every forward pass, nothing is cached.
+graph is rebuilt on every forward pass.
+
+Only values that lead back to a trainable ``Param`` are recorded (activity
+analysis). ``requires_grad`` is a Param's ``trainable`` flag, and for any
+other tensor it is true when at least one parent requires a gradient. An op
+reads these flags when it builds its node: it keeps only the parents that
+require a gradient, and its closure computes only their gradients, so a
+frozen weight's gradient is never formed. An op none of whose inputs
+requires a gradient returns a constant with no parents and no closure.
+Flipping ``trainable`` therefore takes effect on the next forward pass,
+not on a graph already built.
+
+Inside ``with no_graph():`` every op returns a constant, whatever its
+inputs; forward-only code (evaluation, diagnostics) runs there. The mode is
+per thread, so a worker thread enters it for itself.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +36,7 @@ __all__ = [
     "Tensor",
     "Param",
     "backward",
+    "no_graph",
     "constant",
     "matmul",
     "add",
@@ -50,6 +67,19 @@ __all__ = [
     "mean_of",
 ]
 
+_mode = threading.local()
+
+
+@contextmanager
+def no_graph():
+    """Record nothing in this thread: every op returns a constant."""
+    prev = getattr(_mode, "graph", True)
+    _mode.graph = False
+    try:
+        yield
+    finally:
+        _mode.graph = prev
+
 
 class Tensor:
     """A node in the autodiff graph."""
@@ -60,8 +90,16 @@ class Tensor:
                  backward_fn: Callable[[np.ndarray], None] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self._parents = tuple(parents)
-        self._backward = backward_fn
+        if parents and getattr(_mode, "graph", True):
+            parents = tuple(p for p in parents if p.requires_grad)
+        else:
+            parents = ()
+        self._parents = parents
+        self._backward = backward_fn if parents else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return bool(self._parents)
 
     @property
     def shape(self):
@@ -89,6 +127,10 @@ class Param(Tensor):
         self.trainable = trainable
         self.name = name
 
+    @property
+    def requires_grad(self) -> bool:
+        return self.trainable
+
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
 
@@ -98,16 +140,20 @@ def constant(data) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor reachable from ``loss``.
+    """Populate ``grad`` on every tensor reachable from ``loss`` that
+    requires a gradient; a loss that requires none is a no-op.
 
     ``loss`` must be scalar (size 1). Gradients accumulate, callers are
     responsible for zeroing Param grads between steps.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        return
 
     # Iterative post-order topological sort; graph depth can exceed the
-    # recursion limit for deep stacks.
+    # recursion limit for deep stacks. Parent links hold only tensors that
+    # require a gradient, so nothing else is visited.
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -132,6 +178,10 @@ def backward(loss: Tensor) -> None:
 
 # ---------------------------------------------------------------------------
 # ops
+#
+# A closure runs only when its node has at least one parent that requires a
+# gradient. Single-input ops need no further test; an op with several inputs
+# reads their flags when it builds the node and skips the others' gradients.
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -139,10 +189,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
     out_data = np.matmul(a.data, b.data)
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        a.accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        b.accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
+        if need_a:
+            a.accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if need_b:
+            b.accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return Tensor(out_data, (a, b), bwd)
 
@@ -152,9 +205,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shapes disagree: {a.data.shape} vs {b.data.shape}")
 
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def bwd(g):
-        a.accumulate(g)
-        b.accumulate(g)
+        if need_a:
+            a.accumulate(g)
+        if need_b:
+            b.accumulate(g)
 
     return Tensor(a.data + b.data, (a, b), bwd)
 
@@ -164,9 +221,13 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     if x.data.shape[-1:] != b.data.shape:
         raise ShapeError(f"bias shape {b.data.shape} does not match {x.data.shape}")
 
+    need_x, need_b = x.requires_grad, b.requires_grad
+
     def bwd(g):
-        x.accumulate(g)
-        b.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
+        if need_x:
+            x.accumulate(g)
+        if need_b:
+            b.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
 
     return Tensor(x.data + b.data, (x, b), bwd)
 
@@ -183,9 +244,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shapes disagree: {a.data.shape} vs {b.data.shape}")
 
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def bwd(g):
-        a.accumulate(g * b.data)
-        b.accumulate(g * a.data)
+        if need_a:
+            a.accumulate(g * b.data)
+        if need_b:
+            b.accumulate(g * a.data)
 
     return Tensor(a.data * b.data, (a, b), bwd)
 
@@ -208,10 +273,13 @@ def scale_by_scalar(x: Tensor, s: Tensor) -> Tensor:
     if s.data.size != 1:
         raise ShapeError(f"scale_by_scalar expects a scalar, got shape {s.data.shape}")
     sval = float(s.data.reshape(()))
+    need_x, need_s = x.requires_grad, s.requires_grad
 
     def bwd(g):
-        x.accumulate(g * sval)
-        s.accumulate(np.array((g * x.data).sum()).reshape(s.data.shape))
+        if need_x:
+            x.accumulate(g * sval)
+        if need_s:
+            s.accumulate(np.array((g * x.data).sum()).reshape(s.data.shape))
 
     return Tensor(x.data * sval, (x, s), bwd)
 
@@ -254,15 +322,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
+    need_x, need_gain, need_bias = x.requires_grad, gain.requires_grad, bias.requires_grad
 
     def bwd(g):
-        gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        bias.accumulate(g.reshape(-1, d).sum(axis=0))
-        gx_hat = g * gain.data
-        # standard layernorm backward over the last axis
-        m1 = gx_hat.mean(axis=-1, keepdims=True)
-        m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        x.accumulate(inv * (gx_hat - m1 - xhat * m2))
+        if need_gain:
+            gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        if need_bias:
+            bias.accumulate(g.reshape(-1, d).sum(axis=0))
+        if need_x:
+            gx_hat = g * gain.data
+            # standard layernorm backward over the last axis
+            m1 = gx_hat.mean(axis=-1, keepdims=True)
+            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            x.accumulate(inv * (gx_hat - m1 - xhat * m2))
 
     return Tensor(out, (x, gain, bias), bwd)
 
@@ -369,9 +441,10 @@ def mean_of(nodes: Sequence[Tensor]) -> Tensor:
         raise ContractError("mean_of requires at least one node")
     n = len(nodes)
     out_data = np.array(sum(float(t.data) for t in nodes) / n)
+    needed = [t for t in nodes if t.requires_grad]
 
     def bwd(g):
-        for t in nodes:
+        for t in needed:
             t.accumulate(np.broadcast_to(g / n, t.data.shape).copy())
 
     return Tensor(out_data, tuple(nodes), bwd)

@@ -38,6 +38,14 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
+def _parse_shots(text: str) -> tuple[int, int]:
+    """'TRAIN,DEV' as two integers."""
+    parts = text.split(",")
+    if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+        raise ConfigError(f"--shots must be TRAIN,DEV (two integers), got {text!r}")
+    return int(parts[0]), int(parts[1])
+
+
 def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
                 data: dict[str, TaskData] | None = None,
                 model: MtlModel | None = None) -> tuple[RunRecord, MtlModel]:
@@ -187,7 +195,7 @@ def cmd_transfer(args) -> int:
     if args.task not in data:
         raise ConfigError(f"--task names unknown task {args.task!r}")
     model, _ = load_checkpoint(args.checkpoint)
-    train_shots, dev_shots = (int(x) for x in args.shots.split(","))
+    train_shots, dev_shots = _parse_shots(args.shots)
     record = transfer_finetune(model, data[args.task], cfg.plan,
                                train_shots=train_shots, dev_shots=dev_shots,
                                epochs=args.epochs)

@@ -7,13 +7,14 @@ stream. Everything is deterministic given the plan seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, SpalMtlError
 from .model import MtlModel
 from .optim import OptimizerState, adamw_step
 from .tasks import TaskData, TaskSpec, better, head_forward, task_loss, task_metric
@@ -175,10 +176,11 @@ def evaluate_task(model: MtlModel, spec: TaskSpec, examples: list) -> float:
     if not examples:
         raise ContractError(f"empty evaluation split for task {spec.id!r}")
     preds, labels = [], []
-    for ex in examples:
-        enc = model.encode(ex.token_ids)
-        preds.append(head_forward(enc, model.heads[spec.id]).data)
-        labels.append(ex.label)
+    with ad.no_graph():
+        for ex in examples:
+            enc = model.encode(ex.token_ids)
+            preds.append(head_forward(enc, model.heads[spec.id]).data)
+            labels.append(ex.label)
     return task_metric(spec, preds, labels)
 
 
@@ -240,6 +242,9 @@ def run_training(plan: TrainPlan, model: MtlModel, data: dict[str, TaskData],
         batch = stream[idx]
         loss = train_step(model, batch, specs, optimizer_state)
         step = idx + 1
+        if not math.isfinite(loss):
+            raise SpalMtlError(
+                f"non-finite loss {loss} at step {step} on task {batch.task_id!r}")
         record.losses.append((step, batch.task_id, loss))
         if step % plan.eval_interval == 0 or step == total:
             run_eval(step)

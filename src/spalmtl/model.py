@@ -31,7 +31,8 @@ class ProbeWeights:
         return ad.sigmoid(ad.sub(a, b))
 
     def values(self) -> list[float]:
-        return [float(self.weight(i).data) for i in range(self.num_layers)]
+        with ad.no_graph():
+            return [float(self.weight(i).data) for i in range(self.num_layers)]
 
 
 class MtlModel:
@@ -101,7 +102,8 @@ class MtlModel:
             p.zero_grad()
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: p.data.copy() for k, p in self.all_params().items()}
+        """Copies of the trainable params: all that training can change."""
+        return {k: p.data.copy() for k, p in self.all_params().items() if p.trainable}
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
         params = self.all_params()

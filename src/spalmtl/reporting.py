@@ -23,10 +23,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_run_json(record: RunRecord, outdir: Path) -> Path:
-    path = outdir / "run.json"
-    path.write_text(json.dumps(record.to_dict(), sort_keys=True, indent=1) + "\n")
+def _write_json(obj: dict, path: Path) -> Path:
+    """Strict JSON: a NaN or infinity is an error, not a bare token."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as e:
+        raise SpalMtlError(f"{path.name}: {e}") from e
+    path.write_text(text + "\n")
     return path
+
+
+def write_run_json(record: RunRecord, outdir: Path) -> Path:
+    return _write_json(record.to_dict(), outdir / "run.json")
 
 
 def write_repgen_csv(curves: list[tuple[int, int, float]], outdir: Path) -> Path:
@@ -91,9 +99,7 @@ def write_embeddings_csv(task_sim: SimilarityMatrix | None,
 
 
 def write_aggregate_json(aggregate, outdir: Path) -> Path:
-    path = outdir / "aggregate.json"
-    path.write_text(json.dumps(aggregate.to_dict(), sort_keys=True, indent=1) + "\n")
-    return path
+    return _write_json(aggregate.to_dict(), outdir / "aggregate.json")
 
 
 def emit_metrics(record: RunRecord, outdir,

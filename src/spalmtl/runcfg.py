@@ -142,12 +142,17 @@ def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:
     analysis = AnalysisConfig(**an_obj)
 
     spal_hidden = obj.get("spal_hidden")
+    if spal_hidden is not None and type(spal_hidden) is not int:
+        raise ConfigError(f"spal_hidden must be an integer or null, got {spal_hidden!r}")
+    flags = {"freeze_backbone": obj.get("freeze_backbone", True),
+             "probe": obj.get("probe", False)}
+    for k, v in flags.items():
+        if not isinstance(v, bool):
+            raise ConfigError(f"{k} must be true or false, got {v!r}")
     return RunConfig(
-        backbone=backbone, spal_hidden=spal_hidden,
-        freeze_backbone=obj.get("freeze_backbone", True),
-        probe=obj.get("probe", False), plan=plan, generator=generator,
+        backbone=backbone, spal_hidden=spal_hidden, plan=plan, generator=generator,
         jsonl_tasks=jsonl_tasks, analysis=analysis,
-        out_dir=obj.get("out_dir"), base_dir=base_dir)
+        out_dir=obj.get("out_dir"), base_dir=base_dir, **flags)
 
 
 def load_run_config(path) -> RunConfig:

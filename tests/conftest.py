@@ -27,6 +27,12 @@ def fd_gradient(f, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return g
 
 
+def copy_all_params(model) -> dict[str, np.ndarray]:
+    """A copy of every parameter, frozen ones included (``MtlModel.snapshot``
+    copies only the trainable ones)."""
+    return {k: p.data.copy() for k, p in model.all_params().items()}
+
+
 def grads_close(fd: np.ndarray, g: np.ndarray, rtol: float = 1e-4,
                 atol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(fd - g) <= atol + rtol * np.maximum(np.abs(fd), np.abs(g))))

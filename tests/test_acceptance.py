@@ -23,6 +23,8 @@ from spalmtl.synthdata import (GeneratorSpec, SynthTaskSpec,
                                findata_shaped_suite, gen_synthetic_suite)
 from spalmtl.tasks import TaskSpec, head_forward, task_loss
 
+from conftest import copy_all_params
+
 
 def _passed(n: int, desc: str) -> None:
     print(f"[ACCEPTANCE {n}] {desc}: PASS")
@@ -110,13 +112,13 @@ def test_criterion_03_freeze_invariance():
     toy = PRESETS["toy"]
     model = MtlModel.build(toy, [data[t].spec for t in sorted(data)],
                            spal_hidden=4, seed=1, freeze_backbone=True)
-    before = model.snapshot()
+    before = copy_all_params(model)
     plan = TrainPlan(epochs=11, eval_interval=10**9, seed=1)
     record = run_training(plan, model, data, max_steps=1000)
     assert len(record.losses) == 1000
     sampled = {tid for _, tid, _ in record.losses}
     assert sampled == set(data)
-    after = model.snapshot()
+    after = copy_all_params(model)
     changed = {k for k in before if not np.array_equal(before[k], after[k])}
     backbone_names = {k for k in before if k.startswith("backbone.")}
     expected = {k for k in before

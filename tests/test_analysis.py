@@ -1,6 +1,8 @@
 """Diagnostics: representation generalization, gradient snapshots and
-similarity, contribution probing, task and text embeddings."""
+similarity, contribution probing, task and text embeddings, and the
+no-graph inference they share with evaluation."""
 
+import contextlib
 import math
 import os
 
@@ -8,11 +10,13 @@ import numpy as np
 import pytest
 
 from spalmtl import analysis as an
+from spalmtl import autodiff as ad
+from spalmtl.engine import evaluate_task
 from spalmtl.errors import ContractError
 from spalmtl.model import MtlModel
 from spalmtl.tasks import TaskExample
 
-from conftest import TINY, fd_gradient, grads_close, two_task_suite
+from conftest import TINY, copy_all_params, fd_gradient, grads_close, two_task_suite
 
 
 def _build(data, seed=1, probe=False):
@@ -132,10 +136,10 @@ def test_cosine_zero_norm_is_contract_error():
 def test_snapshot_leaves_model_and_grads_untouched():
     data = two_task_suite()
     model = _build(data)
-    before = model.snapshot()
+    before = copy_all_params(model)
     snap = an.snapshot_task_gradient(model, data["alpha"].spec,
                                      data["alpha"].train, step=7)
-    after = model.snapshot()
+    after = copy_all_params(model)
     assert snap.step == 7
     assert snap.vector.size == model.shared_trainable_size()
     for name in before:
@@ -356,3 +360,48 @@ def test_embedding_similarity_matrix_labels_sorted():
     sim = an.embedding_similarity_matrix({"b": np.ones(3), "a": np.ones(3)})
     assert sim.labels == ["a", "b"]
     assert sim.matrix[0, 1] == pytest.approx(1.0)
+
+
+# -- no-graph inference ------------------------------------------------------
+
+def test_no_graph_encoding_has_no_parents():
+    data = two_task_suite()
+    model = _build(data, probe=True)
+    ids = data["alpha"].train[0].token_ids
+    assert model.encode(ids).final().requires_grad
+    with ad.no_graph():
+        enc = model.encode(ids)
+    for t in enc.per_layer_outputs:
+        assert t._parents == () and t._backward is None and not t.requires_grad
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_inference_matches_graph_mode(monkeypatch, threads):
+    if threads is not None:
+        monkeypatch.setenv(an.THREADS_ENV, threads)
+    data = two_task_suite()
+    model = _build(data, probe=True)
+    graphs = []     # whether each encoding built a graph, from any thread
+    encode = model.encode
+
+    def spy(*args, **kwargs):
+        enc = encode(*args, **kwargs)
+        graphs.append(enc.final().requires_grad)
+        return enc
+
+    monkeypatch.setattr(model, "encode", spy)
+
+    def infer():
+        return ([evaluate_task(model, data[t].spec, data[t].dev) for t in sorted(data)],
+                an.rep_gen_at_layers(model, data, [1, 2]),
+                [an.text_embedding(model, data[t].train).tobytes() for t in sorted(data)],
+                model.probe.values())
+
+    no_graph = infer()
+    assert graphs and not any(graphs)
+    graphs.clear()
+    with monkeypatch.context() as m:
+        m.setattr(ad, "no_graph", contextlib.nullcontext)
+        with_graph = infer()
+    assert graphs and all(graphs)
+    assert no_graph == with_graph

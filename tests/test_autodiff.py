@@ -101,6 +101,19 @@ def test_gradients_accumulate_across_backward_calls():
     assert np.array_equal(p.grad, 2 * np.ones(2))
 
 
+def test_only_values_that_need_a_gradient_are_recorded():
+    w = ad.Param(np.eye(2), name="w", trainable=False)
+    x = ad.Param(np.ones((1, 2)), name="x")
+    const = ad.matmul(ad.Tensor(np.ones((1, 2))), w)
+    assert not const.requires_grad and const._parents == ()
+    y = ad.matmul(x, w)
+    assert y.requires_grad and y._parents == (x,)
+    ad.backward(ad.tsum(y))
+    assert w.grad is None and np.array_equal(x.grad, [[1.0, 1.0]])
+    with ad.no_graph():
+        assert not ad.matmul(x, w).requires_grad
+
+
 def test_two_layer_network_finite_differences():
     rng = np.random.default_rng(2)
     w1 = ad.Param(rng.normal(size=(5, 4)), name="w1")

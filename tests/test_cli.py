@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from spalmtl.checkpoint import load_checkpoint
 from spalmtl.cli import main
+from spalmtl.engine import run_training
 from spalmtl.errors import ConfigError
 from spalmtl.reporting import read_matrix_csv
-from spalmtl.runcfg import parse_run_config
+from spalmtl.runcfg import load_run_config, parse_run_config
 
 BACKBONE = {"num_layers": 2, "model_dim": 8, "num_heads": 2, "ff_dim": 16,
             "vocab_size": 128, "max_seq_len": 16}
@@ -146,6 +148,24 @@ def test_best_checkpoints_saved_per_task(tmp_path):
         assert (out / f"ckpt_{ckpt}.spal").exists()
 
 
+def test_best_checkpoint_holds_params_after_its_step(tmp_path):
+    cfg_path = _write_config(tmp_path, plan={"epochs": 2, "eval_interval": 3, "seed": 1})
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    record = json.loads((out / "run.json").read_text())
+    cfg = load_run_config(cfg_path)
+    data = cfg.build_data()
+    steps = {b["step"] for b in record["best"].values()}
+    assert steps != {record["total_steps"]}   # at least one best is not the final model
+    for tid, best in record["best"].items():
+        model = cfg.build_model(data, seed=1)
+        run_training(cfg.plan, model, data, max_steps=best["step"])
+        saved, _ = load_checkpoint(out / f"ckpt_{best['checkpoint_id']}.spal")
+        want = model.all_params()
+        for name, p in saved.all_params().items():
+            assert p.data.tobytes() == want[name].data.tobytes(), (tid, name)
+
+
 def test_eval_reports_scores(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = tmp_path / "run"
@@ -162,6 +182,12 @@ def test_unknown_config_key_is_cli_error(tmp_path, capsys):
     path = _write_config(tmp_path, typo=1)
     assert main(["train", "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
+    path = _write_config(tmp_path, spal_hidden="4")
+    assert main(["train", "--config", str(path)]) == 1
+    assert "error: spal_hidden" in capsys.readouterr().err
 
 
 def test_sweep_capacity_emits_aggregates(tmp_path, capsys):
@@ -196,6 +222,18 @@ def test_transfer_finetunes_from_checkpoint(tmp_path, capsys):
                  "--checkpoint", str(out / "ckpt_final.spal"),
                  "--task", "alpha", "--shots", "8,4", "--epochs", "1"]) == 0
     assert "alpha: best" in capsys.readouterr().out
+
+
+def test_malformed_shots_is_cli_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    main(["train", "--config", str(cfg), "--out", str(out)])
+    capsys.readouterr()
+    for shots in ("4", "4,x", "4,4,4"):
+        assert main(["transfer", "--config", str(cfg),
+                     "--checkpoint", str(out / "ckpt_final.spal"),
+                     "--task", "alpha", "--shots", shots]) == 1
+        assert "error: --shots" in capsys.readouterr().err
 
 
 def test_analyze_from_checkpoint(tmp_path):

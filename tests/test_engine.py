@@ -1,5 +1,6 @@
-"""Training engine: batch mixing law, update scoping, determinism,
-single-task equivalence, checkpoint selection and seed aggregation."""
+"""Training engine: batch mixing law, update scoping, gradient scoping,
+determinism, divergence, single-task equivalence, checkpoint selection and
+seed aggregation."""
 
 import dataclasses
 import inspect
@@ -7,16 +8,17 @@ import inspect
 import numpy as np
 import pytest
 
+from spalmtl import autodiff as ad
 from spalmtl.engine import (Batch, RunRecord, TrainPlan, aggregate_seeds,
                             batch_loss, build_mixed_batches, build_stream,
                             run_training, select_best, train_step,
                             transfer_finetune)
-from spalmtl.errors import ConfigError, ContractError
+from spalmtl.errors import ConfigError, ContractError, SpalMtlError
 from spalmtl.model import MtlModel
 from spalmtl.optim import OptimizerState
 from spalmtl.tasks import TaskSpec
 
-from conftest import TINY, two_task_suite
+from conftest import TINY, copy_all_params, two_task_suite
 
 
 def _shares(stream):
@@ -110,10 +112,10 @@ def test_train_step_updates_only_trunk_and_sampled_head():
     data = two_task_suite()
     model = _build(data)
     specs = {tid: data[tid].spec for tid in data}
-    before = model.snapshot()
+    before = copy_all_params(model)
     state = OptimizerState(total_steps=10)
     train_step(model, Batch("alpha", data["alpha"].train[:4]), specs, state)
-    after = model.snapshot()
+    after = copy_all_params(model)
     for name in before:
         changed = not np.array_equal(before[name], after[name])
         if name.startswith("backbone.") or name.startswith("head.beta"):
@@ -129,6 +131,78 @@ def test_unregistered_task_is_contract_error():
     with pytest.raises(ContractError):
         train_step(model, Batch("ghost", data["alpha"].train[:2]), specs,
                    OptimizerState(total_steps=5))
+
+
+# -- which params receive gradients -----------------------------------------
+
+def _batch_grads(model, spec, examples):
+    model.zero_grads()
+    ad.backward(batch_loss(model, spec, examples))
+    grads = {k: p.grad for k, p in model.all_params().items()}
+    model.zero_grads()
+    return grads
+
+
+@pytest.mark.parametrize("probe", [False, True])
+def test_frozen_backbone_gets_no_gradient(probe):
+    data = two_task_suite()
+    model = _build(data, probe=probe)
+    grads = _batch_grads(model, data["alpha"].spec, data["alpha"].train[:4])
+    for name, g in grads.items():
+        if name.startswith("backbone.") or name.startswith("head.beta"):
+            assert g is None, name
+        else:
+            assert g is not None, name
+
+
+def test_adapter_and_head_gradients_do_not_depend_on_freezing():
+    data = two_task_suite()
+    model = _build(data, probe=True)
+    spec, examples = data["alpha"].spec, data["alpha"].train[:4]
+    frozen = _batch_grads(model, spec, examples)
+    model.backbone.set_trainable(True)
+    unfrozen = _batch_grads(model, spec, examples)
+    assert all(unfrozen[k] is not None for k in model.backbone.params)
+    trained = [k for k, g in frozen.items() if g is not None]
+    assert trained
+    for k in trained:
+        assert frozen[k].tobytes() == unfrozen[k].tobytes(), k
+
+
+def test_trainable_flag_is_read_when_the_graph_is_built():
+    data = two_task_suite()
+    model = _build(data)
+    spec, examples = data["alpha"].spec, data["alpha"].train[:4]
+    loss = batch_loss(model, spec, examples)
+    model.backbone.set_trainable(True)     # after the graph was built
+    ad.backward(loss)
+    assert all(p.grad is None for p in model.backbone.params.values())
+    model.zero_grads()
+
+    model.backbone.set_trainable(False)
+    specs = {tid: data[tid].spec for tid in data}
+    state = OptimizerState(total_steps=10)
+    before = copy_all_params(model)
+    train_step(model, Batch("alpha", examples), specs, state)
+    model.backbone.set_trainable(True)     # between two steps
+    grads = _batch_grads(model, spec, examples)
+    assert all(grads[k] is not None for k in model.backbone.params)
+    train_step(model, Batch("alpha", examples), specs, state)
+    for k, p in model.backbone.params.items():
+        assert not np.array_equal(before[k], p.data), k
+
+
+def test_diverging_run_stops_at_first_non_finite_loss():
+    data = two_task_suite()
+    model = _build(data)
+    plan = TrainPlan(epochs=4, eval_interval=2, seed=1, base_lr=1.0, warmup_steps=0)
+    record = RunRecord(seed=1, task_ids=sorted(data), plan_fingerprint=plan.fingerprint())
+    with pytest.raises(SpalMtlError, match="non-finite loss") as err:
+        run_training(plan, model, data, record=record)
+    step = len(record.losses) + 1
+    assert f"step {step} on task" in str(err.value)
+    assert step < len(build_stream(plan, data))
+    assert all(np.isfinite(loss) for _, _, loss in record.losses)
 
 
 def test_frozen_backbone_bits_survive_training():

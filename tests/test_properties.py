@@ -11,7 +11,7 @@ from spalmtl.model import MtlModel
 from spalmtl.optim import OptimizerState, lr_at
 from spalmtl.tasks import (TaskSpec, insert_target_markers, strip_target_markers)
 
-from conftest import TINY, two_task_suite
+from conftest import TINY, copy_all_params, two_task_suite
 
 
 @settings(max_examples=25, deadline=None)
@@ -90,10 +90,20 @@ def test_softmax_shift_invariance(logits, shift):
 def test_snapshot_restore_round_trip(seed):
     spec = TaskSpec(id="t", kind="seq_regression", metric="rmse")
     model = MtlModel.build(TINY, [spec], spal_hidden=2, seed=seed)
-    snap = model.snapshot()
+    snap = copy_all_params(model)
     rng = np.random.default_rng(seed)
     for p in model.all_params().values():
         p.data = rng.normal(size=p.data.shape)
     model.restore(snap)
     for name, p in model.all_params().items():
         assert np.array_equal(p.data, snap[name])
+
+
+def test_snapshot_copies_only_trainable_params():
+    spec = TaskSpec(id="t", kind="seq_regression", metric="rmse")
+    model = MtlModel.build(TINY, [spec], spal_hidden=2, seed=0, probe=True)
+    snap = model.snapshot()
+    assert set(snap) == {k for k, p in model.all_params().items()
+                         if not k.startswith("backbone.")}
+    model.backbone.set_trainable(True)
+    assert set(model.snapshot()) == set(model.all_params())
