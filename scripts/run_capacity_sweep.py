@@ -38,7 +38,7 @@ def build_config(epochs: int, scale: float) -> dict:
     }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/sweep")
     ap.add_argument("--hidden", default="12,60,204")
@@ -46,7 +46,7 @@ def main() -> int:
     ap.add_argument("--epochs", type=int, default=4)
     ap.add_argument("--scale", type=float, default=0.25,
                     help="training-split size multiplier")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = build_config(args.epochs, args.scale)
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:

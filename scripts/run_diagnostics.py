@@ -14,12 +14,12 @@ from pathlib import Path
 from spalmtl.cli import main as cli_main
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/diag")
     ap.add_argument("--epochs", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = {
         "backbone": "toy",

@@ -20,13 +20,13 @@ BACKBONE = BackboneConfig(num_layers=2, model_dim=16, num_heads=2, ff_dim=32,
                           vocab_size=128, max_seq_len=16)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", default="1-5")
     ap.add_argument("--epochs", type=int, default=40)
     ap.add_argument("--base-lr", type=float, default=1e-2)
     ap.add_argument("--spal-hidden", type=int, default=8)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     tasks = tuple(SynthTaskSpec(t, "seq_classification", (64, 32, 32), 1.0,
                                 num_classes=2, batch_size=8)
@@ -44,11 +44,9 @@ def main() -> int:
         rec = run_training(plan, model, data)
         mtl_scores.append(rec.best["alpha"]["score"])
 
-        stl_plan = TrainPlan(epochs=args.epochs, eval_interval=16, seed=seed,
-                             mode="stl", base_lr=args.base_lr, warmup_steps=20)
         stl_model = MtlModel.build(BACKBONE, [data["alpha"].spec],
                                    spal_hidden=args.spal_hidden, seed=seed)
-        stl_rec = run_training(stl_plan, stl_model, {"alpha": data["alpha"]})
+        stl_rec = run_training(plan, stl_model, {"alpha": data["alpha"]})
         stl_scores.append(stl_rec.best["alpha"]["score"])
         print(f"seed {seed}: joint {mtl_scores[-1]:.2f} "
               f"single {stl_scores[-1]:.2f}")

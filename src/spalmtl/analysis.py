@@ -4,12 +4,18 @@ similarity, contribution probing, task/text embeddings.
 All functions here are read-only over the model: parameters and optimizer
 state are left bit-unchanged (gradient buffers are scratch space and are
 zeroed before returning).
+
+Two loops serve every diagnostic. ``task_mean_representation`` runs under
+``no_graph()``, encodes each example once and pools every requested layer
+from that one encoding; rep-gen and the text embedding use it.
+``_backward_each`` builds, differentiates and drops one example's graph at
+a time: the gradient snapshot sums the per-example gradients in the grad
+buffers and the task embedding squares each one, so at most one example's
+graph is alive at any moment.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,27 +25,11 @@ from .errors import ContractError
 from .model import MtlModel
 from .tasks import TaskData, TaskSpec, head_forward, task_loss
 
-THREADS_ENV = "SPALMTL_THREADS"
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class RepSummary:
     task_id: str
     layer: int
     vector: np.ndarray
-
-
-@dataclass
-class GenCurve:
-    layer: int
-    points: list  # (step, G)
 
 
 @dataclass
@@ -68,18 +58,21 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def task_mean_representation(model: MtlModel, examples: list, task_id: str,
-                             layer: int) -> RepSummary:
-    """Mean over the dataset of the layer's mean-pooled (non-padding)
-    representation. ``layer`` is 1-based (1..L)."""
+                             layers: list[int]) -> list[RepSummary]:
+    """Mean over the dataset of each layer's mean-pooled (non-padding)
+    representation, one summary per requested layer (1-based, 1..L). Each
+    example is encoded once, whatever the number of layers."""
     if not examples:
         raise ContractError("task_mean_representation needs a non-empty dataset")
-    acc = None
+    acc: list = [None] * len(layers)
     with ad.no_graph():
         for ex in examples:
             enc = model.encode(ex.token_ids)
-            pooled = enc.per_layer_outputs[layer - 1].data[enc.attention_mask].mean(axis=0)
-            acc = pooled if acc is None else acc + pooled
-    return RepSummary(task_id=task_id, layer=layer, vector=acc / len(examples))
+            for i, layer in enumerate(layers):
+                pooled = enc.pooled_mean(layer).data
+                acc[i] = pooled if acc[i] is None else acc[i] + pooled
+    return [RepSummary(task_id=task_id, layer=layer, vector=a / len(examples))
+            for layer, a in zip(layers, acc)]
 
 
 def representation_generalization(summaries: list[RepSummary]) -> float:
@@ -99,18 +92,10 @@ def representation_generalization(summaries: list[RepSummary]) -> float:
 def rep_gen_at_layers(model: MtlModel, data: dict[str, TaskData],
                       layers: list[int], split: str = "train") -> dict[int, float]:
     """G value per requested layer, using each task's chosen split."""
-    def summaries_for(layer):
-        return [task_mean_representation(model, data[tid].split(split), tid, layer)
+    per_task = [task_mean_representation(model, data[tid].split(split), tid, layers)
                 for tid in sorted(data)]
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_layer = list(pool.map(summaries_for, layers))
-    else:
-        per_layer = [summaries_for(l) for l in layers]
-    return {layer: representation_generalization(s)
-            for layer, s in zip(layers, per_layer)}
+    return {layer: representation_generalization([s[i] for s in per_task])
+            for i, layer in enumerate(layers)}
 
 
 def reported_layers(num_layers: int) -> list[int]:
@@ -126,25 +111,34 @@ def _flatten_shared_grads(model: MtlModel) -> np.ndarray:
     parts = []
     for p in model.shared_trainable_params():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        parts.append(g.ravel().copy())
+        parts.append(g.ravel())
     return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def _backward_each(model: MtlModel, spec: TaskSpec, examples: list):
+    """Zero the gradients, then backpropagate each example's loss in turn,
+    yielding after each backward. One example's graph is built,
+    differentiated and dropped before the next is encoded; gradients
+    accumulate in the grad buffers until the caller zeroes them."""
+    model.zero_grads()
+    for ex in examples:
+        enc = model.encode(ex.token_ids)
+        preds = head_forward(enc, model.heads[spec.id])
+        ad.backward(task_loss(spec, preds, ex.label))
+        yield
 
 
 def snapshot_task_gradient(model: MtlModel, spec: TaskSpec, examples: list,
                            step: int) -> GradientSnapshot:
     """Gradient of the task's mean loss over its full training split with
-    respect to shared trainable params, flattened in name-sorted order.
+    respect to shared trainable params, flattened in name-sorted order:
+    the per-example gradients summed in the grad buffers, over the count.
     No optimizer step happens; params are untouched."""
     if not examples:
         raise ContractError("snapshot_task_gradient needs a non-empty split")
-    model.zero_grads()
-    nodes = []
-    for ex in examples:
-        enc = model.encode(ex.token_ids)
-        preds = head_forward(enc, model.heads[spec.id])
-        nodes.append(task_loss(spec, preds, ex.label))
-    ad.backward(ad.mean_of(nodes))
-    vec = _flatten_shared_grads(model)
+    for _ in _backward_each(model, spec, examples):
+        pass
+    vec = _flatten_shared_grads(model) / len(examples)
     model.zero_grads()
     return GradientSnapshot(task_id=spec.id, step=step, vector=vec)
 
@@ -216,15 +210,11 @@ def task_embedding(model: MtlModel, spec: TaskSpec, examples: list) -> np.ndarra
     if not examples:
         raise ContractError("task_embedding needs a non-empty dataset")
     acc = None
-    for ex in examples:
-        model.zero_grads()
-        enc = model.encode(ex.token_ids)
-        preds = head_forward(enc, model.heads[spec.id])
-        ad.backward(task_loss(spec, preds, ex.label))
+    for _ in _backward_each(model, spec, examples):
         g = _flatten_shared_grads(model)
+        model.zero_grads()
         sq = g * g
         acc = sq if acc is None else acc + sq
-    model.zero_grads()
     return acc / len(examples)
 
 
@@ -232,13 +222,8 @@ def text_embedding(model: MtlModel, examples: list) -> np.ndarray:
     """Mean final-layer pooled representation over the dataset."""
     if not examples:
         raise ContractError("text_embedding needs a non-empty dataset")
-    acc = None
-    with ad.no_graph():
-        for ex in examples:
-            enc = model.encode(ex.token_ids)
-            pooled = enc.final().data[enc.attention_mask].mean(axis=0)
-            acc = pooled if acc is None else acc + pooled
-    return acc / len(examples)
+    final = model.backbone.config.num_layers
+    return task_mean_representation(model, examples, "", [final])[0].vector
 
 
 def embedding_similarity_matrix(vectors: dict[str, np.ndarray]) -> SimilarityMatrix:

@@ -43,7 +43,6 @@ __all__ = [
     "add_bias",
     "neg",
     "sub",
-    "mul",
     "scale",
     "add_const",
     "add_const_array",
@@ -55,7 +54,6 @@ __all__ = [
     "layer_norm",
     "gelu",
     "sigmoid",
-    "tanh_op",
     "log",
     "square",
     "embedding",
@@ -240,21 +238,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return add(a, neg(b))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shapes disagree: {a.data.shape} vs {b.data.shape}")
-
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bwd(g):
-        if need_a:
-            a.accumulate(g * b.data)
-        if need_b:
-            b.accumulate(g * a.data)
-
-    return Tensor(a.data * b.data, (a, b), bwd)
-
-
 def scale(x: Tensor, s: float) -> Tensor:
     return Tensor(x.data * s, (x,), lambda g: x.accumulate(g * s))
 
@@ -358,11 +341,6 @@ def gelu(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
     return Tensor(s, (x,), lambda g: x.accumulate(g * s * (1.0 - s)))
-
-
-def tanh_op(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    return Tensor(t, (x,), lambda g: x.accumulate(g * (1.0 - t * t)))
 
 
 def log(x: Tensor) -> Tensor:

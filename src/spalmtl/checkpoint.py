@@ -129,6 +129,8 @@ def load_checkpoint(path, expected_config: dict | None = None
             header = json.loads(_read(f, hlen).decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointFormatError(f"unparseable header: {e}") from e
+        if not isinstance(header, dict) or "config" not in header:
+            raise CheckpointFormatError("checkpoint header has no 'config' entry")
         config = header["config"]
         if config_digest(config) != header.get("digest"):
             raise CheckpointDigestError("stored digest does not match stored config")

@@ -46,6 +46,16 @@ def _parse_shots(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _load_for_tasks(path, data: dict[str, TaskData]) -> MtlModel:
+    """Load a checkpoint that has a head for every task of the config."""
+    model, _ = load_checkpoint(path)
+    missing = sorted(set(data) - set(model.heads))
+    if missing:
+        raise ConfigError(f"checkpoint {path} has no head for config task(s) "
+                          f"{missing}; its tasks are {sorted(model.heads)}")
+    return model
+
+
 def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
                 data: dict[str, TaskData] | None = None,
                 model: MtlModel | None = None) -> tuple[RunRecord, MtlModel]:
@@ -138,7 +148,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
     data = cfg.build_data()
-    model, _ = load_checkpoint(args.checkpoint)
+    model = _load_for_tasks(args.checkpoint, data)
     scores = {tid: evaluate_task(model, data[tid].spec, data[tid].split(args.split))
               for tid in sorted(data) if data[tid].split(args.split)}
     print(json.dumps(scores, sort_keys=True, indent=1))
@@ -209,7 +219,7 @@ def cmd_transfer(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = load_run_config(args.config)
     data = cfg.build_data()
-    model, _ = load_checkpoint(args.checkpoint)
+    model = _load_for_tasks(args.checkpoint, data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     layers = cfg.analysis.layers or an.reported_layers(model.backbone.config.num_layers)

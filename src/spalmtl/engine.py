@@ -1,8 +1,9 @@
 """Joint multi-task training loop: temperature-based batch mixing, per-task
-best-checkpoint selection, STL mode, few-shot transfer, seed aggregation.
+best-checkpoint selection, few-shot transfer, seed aggregation.
 
-One "epoch" in MTL mode is one pass over the concatenated mixed batch
-stream. Everything is deterministic given the plan seed.
+One "epoch" is one pass over the concatenated mixed batch stream; a run
+with a single task is plain single-task training. Everything is
+deterministic given the plan seed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class TrainPlan:
     eval_interval: int = DEFAULT_EVAL_INTERVAL_MTL
     seed: int = 1
     temperature: float = 1.0
-    mode: str = "mtl"  # "mtl" | "stl"
     freeze_backbone: bool = True
     base_lr: float = 5e-5
     warmup_steps: int = 500
@@ -40,8 +40,6 @@ class TrainPlan:
             raise ConfigError("epochs must be positive")
         if self.eval_interval <= 0:
             raise ConfigError("eval_interval must be positive")
-        if self.mode not in ("mtl", "stl"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
 
@@ -49,7 +47,7 @@ class TrainPlan:
         """Plan identity minus the seed, for seed-aggregation checks."""
         return {
             "epochs": self.epochs, "eval_interval": self.eval_interval,
-            "temperature": self.temperature, "mode": self.mode,
+            "temperature": self.temperature,
             "freeze_backbone": self.freeze_backbone, "base_lr": self.base_lr,
             "warmup_steps": self.warmup_steps, "weight_decay": self.weight_decay,
         }
@@ -229,6 +227,7 @@ def run_training(plan: TrainPlan, model: MtlModel, data: dict[str, TaskData],
         record.evals.append((step, scores))
         for tid, score in scores.items():
             cur = record.best.get(tid)
+            # strictly better only: a tie keeps the earliest step
             if cur is None or better(specs[tid], score, cur["score"]):
                 record.best[tid] = {
                     "step": step, "score": score,
@@ -254,18 +253,6 @@ def run_training(plan: TrainPlan, model: MtlModel, data: dict[str, TaskData],
         run_eval(stop_at)
     record.optimizer_state = optimizer_state
     return record
-
-
-def select_best(record: RunRecord, spec: TaskSpec) -> str:
-    """Checkpoint id of the best dev score; ties break to the earliest step."""
-    if not record.evals:
-        raise ContractError("no evaluations recorded")
-    best_step, best_score = None, None
-    for step, scores in record.evals:
-        s = scores[spec.id]
-        if best_score is None or better(spec, s, best_score):
-            best_step, best_score = step, s
-    return f"{spec.id}-step{best_step}"
 
 
 def aggregate_seeds(records: list[RunRecord]) -> SeedAggregate:
@@ -310,7 +297,7 @@ def transfer_finetune(model: MtlModel, task: TaskData, plan: TrainPlan,
                                       plan.seed + 9000)}
     few_plan = TrainPlan(
         epochs=epochs, eval_interval=DEFAULT_EVAL_INTERVAL_STL, seed=plan.seed,
-        temperature=1.0, mode="stl", freeze_backbone=plan.freeze_backbone,
+        temperature=1.0, freeze_backbone=plan.freeze_backbone,
         base_lr=plan.base_lr, warmup_steps=plan.warmup_steps,
         weight_decay=plan.weight_decay)
     few_data = {task.spec.id: TaskData(spec=task.spec, train=train, dev=dev,

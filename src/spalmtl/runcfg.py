@@ -17,8 +17,8 @@ from .tasks import TaskData, TaskSpec, task_spec_from_dict
 
 _TOP_KEYS = {"backbone", "spal_hidden", "freeze_backbone", "probe", "plan",
              "data", "analysis", "out_dir"}
-_PLAN_KEYS = {"epochs", "eval_interval", "seed", "temperature", "mode",
-              "base_lr", "warmup_steps", "weight_decay"}
+_PLAN_KEYS = {"epochs", "eval_interval", "seed", "temperature", "base_lr",
+              "warmup_steps", "weight_decay"}
 _DATA_KEYS = {"generator", "jsonl"}
 _GEN_KEYS = {"tasks", "vocab_size", "seq_len", "latent_dim", "bins", "seed"}
 _GEN_TASK_KEYS = {"id", "kind", "sizes", "relatedness", "num_classes",

@@ -11,7 +11,6 @@ re-derived, the generator ships its own oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,23 +178,6 @@ def gen_synthetic_suite(spec: GeneratorSpec) -> dict[str, TaskData]:
             splits[name] = [_gen_example(spec, task, rng) for _ in range(n)]
         out[task.id] = TaskData(spec=tspec, **splits)
     return out
-
-
-def split_dataset(examples: list, fractions: tuple[float, ...], seed: int = 42):
-    """Deterministic shuffled split; leftover examples go to the first split."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must sum to 1, got {sum(fractions)}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(examples))
-    shuffled = [examples[i] for i in order]
-    n = len(examples)
-    counts = [math.floor(f * n) for f in fractions]
-    counts[0] += n - sum(counts)
-    parts, at = [], 0
-    for c in counts:
-        parts.append(shuffled[at:at + c])
-        at += c
-    return tuple(parts)
 
 
 def findata_shaped_suite(seed: int = 0, scale_sizes: float = 1.0,

@@ -15,8 +15,10 @@ from spalmtl import autodiff as ad
 from spalmtl.backbone import BERT_BASE, PRESETS, BackboneConfig
 from spalmtl.checkpoint import load_checkpoint, save_checkpoint
 from spalmtl.cli import main
-from spalmtl.engine import TrainPlan, build_mixed_batches, build_stream, run_training
+from spalmtl.engine import (Batch, TrainPlan, build_mixed_batches, build_stream,
+                            evaluate_task, run_training, train_step)
 from spalmtl.model import MtlModel
+from spalmtl.optim import OptimizerState
 from spalmtl.reporting import read_matrix_csv
 from spalmtl.spal import SpalConfig, capacity_fraction, count_spal_params
 from spalmtl.synthdata import (GeneratorSpec, SynthTaskSpec,
@@ -139,16 +141,38 @@ def test_criterion_04_singleton_equivalence():
     data = gen_synthetic_suite(GeneratorSpec(tasks=(task,), vocab_size=96,
                                              seq_len=(6, 8), latent_dim=3,
                                              bins=6, seed=0))
-    mtl_plan = TrainPlan(epochs=20, eval_interval=100, seed=2, mode="mtl")
-    stl_plan = TrainPlan(epochs=20, eval_interval=100, seed=2, mode="stl")
-    assert len(build_stream(mtl_plan, data)) == 500
-    specs = [data["solo"].spec]
-    r_mtl = run_training(mtl_plan, MtlModel.build(bb, specs, 4, seed=2), data)
-    r_stl = run_training(stl_plan, MtlModel.build(bb, specs, 4, seed=2), data)
-    assert r_mtl.losses == r_stl.losses
-    assert r_mtl.evals == r_stl.evals
-    _passed(4, "single-task joint training reproduces the single-task "
-               "trajectory bit-identically over 500 steps")
+    plan = TrainPlan(epochs=20, eval_interval=100, seed=2)
+    assert len(build_stream(plan, data)) == 500
+    specs = {"solo": data["solo"].spec}
+    joint_model = MtlModel.build(bb, list(specs.values()), 4, seed=2)
+    joint = run_training(plan, joint_model, data)
+
+    # Plain single-task training: each epoch shuffles the task's own
+    # examples into batches of its batch size, shuffles the batch order,
+    # and takes one train_step per batch.
+    solo = data["solo"]
+    model = MtlModel.build(bb, list(specs.values()), 4, seed=2)
+    state = OptimizerState(total_steps=500, base_lr=plan.base_lr,
+                           warmup_steps=plan.warmup_steps,
+                           weight_decay=plan.weight_decay)
+    losses, evals, step = [], [], 0
+    for epoch in range(plan.epochs):
+        rng = np.random.default_rng([plan.seed, epoch, 0x5A1])
+        order = rng.permutation(len(solo.train))
+        batches = [[solo.train[i] for i in order[k:k + solo.spec.batch_size]]
+                   for k in range(0, len(order), solo.spec.batch_size)]
+        for j in rng.permutation(len(batches)):
+            loss = train_step(model, Batch("solo", batches[j]), specs, state)
+            step += 1
+            losses.append((step, "solo", loss))
+            if step % plan.eval_interval == 0:
+                evals.append((step, {"solo": evaluate_task(model, solo.spec, solo.dev)}))
+    assert joint.losses == losses
+    assert joint.evals == evals
+    for name, p in joint_model.all_params().items():
+        assert p.data.tobytes() == model.all_params()[name].data.tobytes(), name
+    _passed(4, "single-task joint training reproduces an explicit "
+               "train_step loop bit-identically over 500 steps")
 
 
 def test_criterion_05_generalization_oracle():
@@ -414,11 +438,9 @@ def test_criterion_10_positive_transfer_sanity():
         mtl_scores.append(rec.best["alpha"]["score"])
 
         solo = {"alpha": data["alpha"]}
-        stl_plan = TrainPlan(epochs=40, eval_interval=16, seed=seed,
-                             mode="stl", base_lr=1e-2, warmup_steps=20)
         stl_model = MtlModel.build(bb, [data["alpha"].spec], spal_hidden=8,
                                    seed=seed)
-        rec_stl = run_training(stl_plan, stl_model, solo)
+        rec_stl = run_training(plan, stl_model, solo)
         stl_scores.append(rec_stl.best["alpha"]["score"])
     mtl_mean = float(np.mean(mtl_scores))
     stl_mean = float(np.mean(stl_scores))

@@ -4,7 +4,6 @@ no-graph inference they share with evaluation."""
 
 import contextlib
 import math
-import os
 
 import numpy as np
 import pytest
@@ -30,9 +29,10 @@ def _build(data, seed=1, probe=False):
 def test_single_example_mean_is_that_example(tiny_model):
     model, _ = tiny_model
     ex = TaskExample(token_ids=np.array([4, 5, 6]), label=0)
-    summary = an.task_mean_representation(model, [ex], "t", layer=2)
+    (summary,) = an.task_mean_representation(model, [ex], "t", layers=[2])
     enc = model.encode(ex.token_ids)
     pooled = enc.per_layer_outputs[1].data.mean(axis=0)
+    assert summary.layer == 2
     assert np.max(np.abs(summary.vector - pooled)) < 1e-15
 
 
@@ -41,17 +41,19 @@ def test_mean_representation_matches_scalar_oracle(tiny_model):
     examples = [TaskExample(token_ids=np.array([4, 5, 6, 0]), label=0),
                 TaskExample(token_ids=np.array([9, 7]), label=1),
                 TaskExample(token_ids=np.array([11, 12, 13]), label=0)]
-    summary = an.task_mean_representation(model, examples, "t", layer=1)
+    summaries = an.task_mean_representation(model, examples, "t", layers=[2, 1])
+    assert [s.layer for s in summaries] == [2, 1]
     d = TINY.model_dim
-    oracle = np.zeros(d)
-    for ex in examples:
-        enc = model.encode(ex.token_ids)
-        rows = enc.per_layer_outputs[0].data[enc.attention_mask]
-        pooled = [sum(rows[i][j] for i in range(rows.shape[0])) / rows.shape[0]
-                  for j in range(d)]
-        oracle += np.array(pooled)
-    oracle /= len(examples)
-    assert np.max(np.abs(summary.vector - oracle)) < 1e-10
+    for summary in summaries:
+        oracle = np.zeros(d)
+        for ex in examples:
+            enc = model.encode(ex.token_ids)
+            rows = enc.per_layer_outputs[summary.layer - 1].data[enc.attention_mask]
+            pooled = [sum(rows[i][j] for i in range(rows.shape[0])) / rows.shape[0]
+                      for j in range(d)]
+            oracle += np.array(pooled)
+        oracle /= len(examples)
+        assert np.max(np.abs(summary.vector - oracle)) < 1e-10
 
 
 def test_identical_summaries_give_unit_generalization():
@@ -93,22 +95,30 @@ def test_rep_gen_at_layers_matches_manual():
     model = _build(data)
     by_layer = an.rep_gen_at_layers(model, data, [1, 2])
     for layer in (1, 2):
-        sums = [an.task_mean_representation(model, data[tid].train, tid, layer)
-                for tid in sorted(data)]
+        sums = []
+        for tid in sorted(data):
+            pooled = [model.encode(ex.token_ids).pooled_mean(layer).data
+                      for ex in data[tid].train]
+            sums.append(an.RepSummary(tid, layer, np.mean(pooled, axis=0)))
         assert by_layer[layer] == pytest.approx(
             an.representation_generalization(sums), abs=1e-12)
 
 
-def test_rep_gen_parallel_matches_serial():
+def test_rep_gen_encodes_each_example_once(monkeypatch):
     data = two_task_suite()
     model = _build(data)
-    serial = an.rep_gen_at_layers(model, data, [1, 2])
-    os.environ[an.THREADS_ENV] = "2"
-    try:
-        parallel = an.rep_gen_at_layers(model, data, [1, 2])
-    finally:
-        del os.environ[an.THREADS_ENV]
-    assert serial == parallel
+    encode, calls = model.encode, []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(model, "encode", spy)
+    by_layer = an.rep_gen_at_layers(model, data, [1, 2])
+    assert len(calls) == sum(len(data[tid].train) for tid in data)
+    for layer in (1, 2):
+        one_layer = an.rep_gen_at_layers(model, data, [layer])
+        assert one_layer[layer].hex() == by_layer[layer].hex()
 
 
 def test_reported_layers_upper_half():
@@ -155,6 +165,51 @@ def test_snapshot_is_deterministic():
     s2 = an.snapshot_task_gradient(model, data["alpha"].spec,
                                    data["alpha"].train, 0)
     assert np.array_equal(s1.vector, s2.vector)
+
+
+def test_snapshot_equals_single_graph_mean_loss_gradient():
+    data = two_task_suite()
+    model = _build(data)
+    spec, examples = data["alpha"].spec, data["alpha"].train
+    snap = an.snapshot_task_gradient(model, spec, examples, 0)
+
+    from spalmtl.tasks import head_forward, task_loss
+
+    # one graph over the whole split, one backward of the mean loss
+    losses = [task_loss(spec, head_forward(model.encode(ex.token_ids),
+                                           model.heads["alpha"]), ex.label)
+              for ex in examples]
+    ad.backward(ad.mean_of(losses))
+    ref = np.concatenate([p.grad.ravel() for p in model.shared_trainable_params()])
+    model.zero_grads()
+    assert np.linalg.norm(ref) > 0
+    assert np.linalg.norm(snap.vector - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("diagnostic", ["snapshot", "task_embedding"])
+def test_gradient_diagnostics_hold_one_example_graph(monkeypatch, diagnostic):
+    data = two_task_suite()
+    model = _build(data)
+    spec, examples = data["alpha"].spec, data["alpha"].train
+    calls = []
+    encode, backward = model.encode, ad.backward
+
+    def spy_encode(*args, **kwargs):
+        calls.append("encode")
+        return encode(*args, **kwargs)
+
+    def spy_backward(loss):
+        calls.append("backward")
+        backward(loss)
+
+    monkeypatch.setattr(model, "encode", spy_encode)
+    monkeypatch.setattr(ad, "backward", spy_backward)
+    if diagnostic == "snapshot":
+        an.snapshot_task_gradient(model, spec, examples, 0)
+    else:
+        an.task_embedding(model, spec, examples)
+    assert calls == ["encode", "backward"] * len(examples)
+    assert all(p.grad is None for p in model.all_params().values())
 
 
 def test_snapshot_matches_finite_differences_single_example():
@@ -375,13 +430,10 @@ def test_no_graph_encoding_has_no_parents():
         assert t._parents == () and t._backward is None and not t.requires_grad
 
 
-@pytest.mark.parametrize("threads", [None, "2"])
-def test_inference_matches_graph_mode(monkeypatch, threads):
-    if threads is not None:
-        monkeypatch.setenv(an.THREADS_ENV, threads)
+def test_inference_matches_graph_mode(monkeypatch):
     data = two_task_suite()
     model = _build(data, probe=True)
-    graphs = []     # whether each encoding built a graph, from any thread
+    graphs = []     # whether each encoding built a graph
     encode = model.encode
 
     def spy(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Command-line surface and strict run-config parsing."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -247,3 +248,41 @@ def test_analyze_from_checkpoint(tmp_path):
     assert (adir / "repgen.csv").exists()
     assert (adir / "gradsim_step0.csv").exists()
     assert (adir / "embeddings.csv").exists()
+
+
+def test_plan_mode_is_an_unknown_key():
+    cfg = _config()
+    cfg["plan"]["mode"] = "stl"
+    with pytest.raises(ConfigError, match="unknown keys \\['mode'\\] in plan"):
+        parse_run_config(cfg)
+
+
+def test_eval_with_checkpoint_missing_a_config_task_is_cli_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    main(["train", "--config", str(cfg), "--out", str(out)])
+    other = _config()
+    other["data"]["generator"]["tasks"][1]["id"] = "gamma"
+    other_path = tmp_path / "other.json"
+    other_path.write_text(json.dumps(other))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(other_path),
+                 "--checkpoint", str(out / "ckpt_final.spal")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint") and "['gamma']" in err
+
+
+def test_checkpoint_header_without_config_is_cli_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    main(["train", "--config", str(cfg), "--out", str(out)])
+    path = out / "ckpt_final.spal"
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    del header["config"]
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:])
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(path)]) == 1
+    assert "error: checkpoint header has no 'config' entry" in capsys.readouterr().err

@@ -1,6 +1,5 @@
 """Training engine: batch mixing law, update scoping, gradient scoping,
-determinism, divergence, single-task equivalence, checkpoint selection and
-seed aggregation."""
+determinism, divergence, checkpoint selection and seed aggregation."""
 
 import dataclasses
 import inspect
@@ -9,14 +8,14 @@ import numpy as np
 import pytest
 
 from spalmtl import autodiff as ad
+from spalmtl import engine
 from spalmtl.engine import (Batch, RunRecord, TrainPlan, aggregate_seeds,
                             batch_loss, build_mixed_batches, build_stream,
-                            run_training, select_best, train_step,
+                            run_training, train_step,
                             transfer_finetune)
 from spalmtl.errors import ConfigError, ContractError, SpalMtlError
 from spalmtl.model import MtlModel
 from spalmtl.optim import OptimizerState
-from spalmtl.tasks import TaskSpec
 
 from conftest import TINY, copy_all_params, two_task_suite
 
@@ -235,17 +234,6 @@ def test_run_is_deterministic_per_seed():
     assert r1.evals == r2.evals
 
 
-def test_single_task_mtl_equals_stl():
-    data = two_task_suite()
-    solo = {"alpha": data["alpha"]}
-    mtl_plan = TrainPlan(epochs=3, eval_interval=4, seed=2, mode="mtl")
-    stl_plan = TrainPlan(epochs=3, eval_interval=4, seed=2, mode="stl")
-    r_mtl = run_training(mtl_plan, _build(solo), solo)
-    r_stl = run_training(stl_plan, _build(solo), solo)
-    assert r_mtl.losses == r_stl.losses
-    assert r_mtl.evals == r_stl.evals
-
-
 def test_resume_midway_matches_uninterrupted():
     data = two_task_suite()
     plan = TrainPlan(epochs=2, eval_interval=6, seed=4)
@@ -264,36 +252,35 @@ def test_resume_midway_matches_uninterrupted():
 
 # -- selection and aggregation ----------------------------------------------
 
-def _record_with_evals(evals, task="t"):
-    return RunRecord(seed=1, task_ids=[task], plan_fingerprint={}, evals=evals)
+def _best_under_scripted_scores(monkeypatch, kind, metric, scores):
+    """Run a one-task plan whose evaluations return ``scores`` in order and
+    return ``record.best`` for the task."""
+    solo = {"alpha": two_task_suite(kind=kind)["alpha"]}
+    assert solo["alpha"].spec.metric == metric
+    script = iter(scores)
+    monkeypatch.setattr(engine, "evaluate_task", lambda model, spec, examples: next(script))
+    plan = TrainPlan(epochs=len(scores), eval_interval=6, seed=1)
+    record = run_training(plan, _build(solo), solo)
+    assert [s for s, _ in record.evals] == [6 * (i + 1) for i in range(len(scores))]
+    return record.best["alpha"]
 
 
-def test_select_best_argmax():
-    spec = TaskSpec(id="t", kind="seq_classification", metric="accuracy",
-                    num_classes=2)
-    rec = _record_with_evals([(100, {"t": 80.0}), (200, {"t": 85.0}),
-                              (300, {"t": 83.0})])
-    assert select_best(rec, spec) == "t-step200"
+def test_best_keeps_maximum_accuracy(monkeypatch):
+    best = _best_under_scripted_scores(monkeypatch, "seq_classification",
+                                       "accuracy", [80.0, 85.0, 83.0])
+    assert best == {"step": 12, "score": 85.0, "checkpoint_id": "alpha-step12"}
 
 
-def test_select_best_tie_breaks_earliest():
-    spec = TaskSpec(id="t", kind="seq_classification", metric="accuracy",
-                    num_classes=2)
-    rec = _record_with_evals([(100, {"t": 85.0}), (200, {"t": 85.0})])
-    assert select_best(rec, spec) == "t-step100"
+def test_best_tie_keeps_earliest_step(monkeypatch):
+    best = _best_under_scripted_scores(monkeypatch, "seq_classification",
+                                       "accuracy", [85.0, 85.0])
+    assert best == {"step": 6, "score": 85.0, "checkpoint_id": "alpha-step6"}
 
 
-def test_select_best_argmin_for_rmse():
-    spec = TaskSpec(id="t", kind="seq_regression", metric="rmse")
-    rec = _record_with_evals([(100, {"t": 0.5}), (200, {"t": 0.2}),
-                              (300, {"t": 0.3})])
-    assert select_best(rec, spec) == "t-step200"
-
-
-def test_select_best_without_evals_is_contract_error():
-    spec = TaskSpec(id="t", kind="seq_regression", metric="rmse")
-    with pytest.raises(ContractError):
-        select_best(_record_with_evals([]), spec)
+def test_best_keeps_minimum_rmse(monkeypatch):
+    best = _best_under_scripted_scores(monkeypatch, "seq_regression", "rmse",
+                                       [0.5, 0.2, 0.3])
+    assert best == {"step": 12, "score": 0.2, "checkpoint_id": "alpha-step12"}
 
 
 def _record_with_best(seed, score, task="t"):

@@ -1,5 +1,5 @@
 """Synthetic corpus generator: determinism, relatedness semantics, label
-re-derivation, splitting."""
+re-derivation, suite geometry."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from spalmtl.errors import ConfigError
 from spalmtl.synthdata import (GeneratorSpec, SynthTaskSpec, derive_label,
                                findata_shaped_suite, gen_synthetic_suite,
-                               split_dataset, tag_names_for)
+                               tag_names_for)
 from spalmtl.tasks import bio_to_spans
 
 from conftest import two_task_suite
@@ -88,32 +88,6 @@ def test_regression_labels_bounded():
     suite = two_task_suite(seed=6, kind="seq_regression")
     for ex in suite["alpha"].train:
         assert -1.0 <= ex.label <= 1.0
-
-
-def test_split_all_to_train():
-    data = list(range(10))
-    train, dev, test = split_dataset(data, (1.0, 0.0, 0.0))
-    assert len(train) == 10 and not dev and not test
-    assert sorted(train) == data
-
-
-def test_split_floor_remainder_on_seven_examples():
-    data = list(range(7))
-    train, dev, test = split_dataset(data, (0.7, 0.15, 0.15))
-    # floor(4.9)=4, floor(1.05)=1, floor(1.05)=1, remainder 1 -> train
-    assert (len(train), len(dev), len(test)) == (5, 1, 1)
-    assert sorted(train + dev + test) == data
-
-
-def test_split_default_seed_is_42():
-    data = list(range(20))
-    assert split_dataset(data, (0.5, 0.25, 0.25)) == \
-        split_dataset(data, (0.5, 0.25, 0.25), seed=42)
-
-
-def test_split_bad_fractions_rejected():
-    with pytest.raises(ConfigError, match="sum to 1"):
-        split_dataset([1, 2], (0.5, 0.25))
 
 
 def test_findata_shaped_suite_geometry():
