@@ -9,7 +9,6 @@ Example:
 
 import argparse
 import json
-import tempfile
 from pathlib import Path
 
 from spalmtl.cli import main as cli_main
@@ -48,12 +47,11 @@ def main(argv=None) -> int:
                     help="training-split size multiplier")
     args = ap.parse_args(argv)
 
-    cfg = build_config(args.epochs, args.scale)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
-        json.dump(cfg, f)
-        cfg_path = f.name
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    return cli_main(["sweep-capacity", "--config", cfg_path,
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg_path = out / "config.json"
+    cfg_path.write_text(json.dumps(build_config(args.epochs, args.scale)))
+    return cli_main(["sweep-capacity", "--config", str(cfg_path),
                      "--hidden", args.hidden, "--seeds", args.seeds,
                      "--out", args.out])
 

@@ -8,7 +8,6 @@ Example:
 
 import argparse
 import json
-import tempfile
 from pathlib import Path
 
 from spalmtl.cli import main as cli_main
@@ -40,15 +39,15 @@ def main(argv=None) -> int:
         "analysis": {"rep_gen": True, "grad_snapshots": True,
                      "embeddings": True, "snapshot_cadence": 20},
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
-        json.dump(cfg, f)
-        cfg_path = f.name
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg_path = out / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
 
-    rc = cli_main(["train", "--config", cfg_path, "--seed", str(args.seed),
+    rc = cli_main(["train", "--config", str(cfg_path), "--seed", str(args.seed),
                    "--out", args.out])
     if rc != 0:
         return rc
-    out = Path(args.out)
     print("artifacts:")
     for p in sorted(out.iterdir()):
         print(f"  {p.name}")

@@ -1,19 +1,20 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-A ``Tensor`` wraps an ndarray plus the closure that propagates an incoming
-gradient to its parents. The tape is just the implicit DAG of parent links;
-``backward`` topologically sorts it and runs the closures in reverse. The
-graph is rebuilt on every forward pass.
+A ``Tensor`` wraps an ndarray plus one ``(input, vjp)`` pair per input that
+requires a gradient. ``vjp`` is the vector-Jacobian product: it maps the
+gradient of the tensor to that input's share of it. The tape is just the
+implicit DAG of these links; ``backward`` topologically sorts it and, in
+reverse, adds ``vjp(node.grad)`` into each input's gradient. The graph is
+rebuilt on every forward pass.
 
 Only values that lead back to a trainable ``Param`` are recorded (activity
 analysis). ``requires_grad`` is a Param's ``trainable`` flag, and for any
-other tensor it is true when at least one parent requires a gradient. An op
-reads these flags when it builds its node: it keeps only the parents that
-require a gradient, and its closure computes only their gradients, so a
-frozen weight's gradient is never formed. An op none of whose inputs
-requires a gradient returns a constant with no parents and no closure.
-Flipping ``trainable`` therefore takes effect on the next forward pass,
-not on a graph already built.
+other tensor it is true when at least one input requires a gradient. An op
+lists a vjp for every input; ``Tensor.__init__`` keeps only the pairs whose
+input requires a gradient, so a frozen weight's vjp is never called and its
+gradient never formed. A tensor none of whose inputs requires a gradient
+is a constant with no links. Flipping ``trainable`` therefore takes effect
+on the next forward pass, not on a graph already built.
 
 Inside ``with no_graph():`` every op returns a constant, whatever its
 inputs; forward-only code (evaluation, diagnostics) runs there. The mode is
@@ -45,7 +46,6 @@ __all__ = [
     "sub",
     "scale",
     "add_const",
-    "add_const_array",
     "scale_by_scalar",
     "one_minus",
     "reshape",
@@ -67,6 +67,8 @@ __all__ = [
 
 _mode = threading.local()
 
+Vjp = Callable[[np.ndarray], np.ndarray]
+
 
 @contextmanager
 def no_graph():
@@ -82,18 +84,15 @@ def no_graph():
 class Tensor:
     """A node in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents")
 
-    def __init__(self, data, parents: Sequence["Tensor"] = (),
-                 backward_fn: Callable[[np.ndarray], None] | None = None):
+    def __init__(self, data, parents: Sequence[tuple["Tensor", Vjp]] = ()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         if parents and getattr(_mode, "graph", True):
-            parents = tuple(p for p in parents if p.requires_grad)
+            self._parents = tuple(pair for pair in parents if pair[0].requires_grad)
         else:
-            parents = ()
-        self._parents = parents
-        self._backward = backward_fn if parents else None
+            self._parents = ()
 
     @property
     def requires_grad(self) -> bool:
@@ -150,8 +149,8 @@ def backward(loss: Tensor) -> None:
         return
 
     # Iterative post-order topological sort; graph depth can exceed the
-    # recursion limit for deep stacks. Parent links hold only tensors that
-    # require a gradient, so nothing else is visited.
+    # recursion limit for deep stacks. Links hold only tensors that require
+    # a gradient, so nothing else is visited.
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -164,74 +163,63 @@ def backward(loss: Tensor) -> None:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p, _ in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
 
+    # Every recorded node lies on a path to the loss, so its consumers have
+    # run and its grad is set by the time it is reached.
     loss.accumulate(np.ones_like(loss.data))
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        for parent, vjp in node._parents:
+            parent.accumulate(vjp(node.grad))
 
 
 # ---------------------------------------------------------------------------
 # ops
 #
-# A closure runs only when its node has at least one parent that requires a
-# gradient. Single-input ops need no further test; an op with several inputs
-# reads their flags when it builds the node and skips the others' gradients.
+# Each op returns its value with one (input, vjp) pair per input. A vjp runs
+# only for an input that requires a gradient; it returns that input's share
+# of the gradient, which may be a broadcastable or read-only view.
 # ---------------------------------------------------------------------------
+
+def _same(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def _scatter(like: np.ndarray, index, values) -> np.ndarray:
+    """Zeros shaped like ``like`` with ``values`` written at ``index``."""
+    out = np.zeros_like(like)
+    out[index] = values
+    return out
+
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. 2-D, or batched with identical leading dims."""
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
-    out_data = np.matmul(a.data, b.data)
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bwd(g):
-        if need_a:
-            a.accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        if need_b:
-            b.accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
-
-    return Tensor(out_data, (a, b), bwd)
+    return Tensor(np.matmul(a.data, b.data),
+                  ((a, lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2))),
+                   (b, lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g))))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shapes disagree: {a.data.shape} vs {b.data.shape}")
-
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bwd(g):
-        if need_a:
-            a.accumulate(g)
-        if need_b:
-            b.accumulate(g)
-
-    return Tensor(a.data + b.data, (a, b), bwd)
+    return Tensor(a.data + b.data, ((a, _same), (b, _same)))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """x[..., d] + b[d], broadcasting over leading axes."""
     if x.data.shape[-1:] != b.data.shape:
         raise ShapeError(f"bias shape {b.data.shape} does not match {x.data.shape}")
-
-    need_x, need_b = x.requires_grad, b.requires_grad
-
-    def bwd(g):
-        if need_x:
-            x.accumulate(g)
-        if need_b:
-            b.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
-
-    return Tensor(x.data + b.data, (x, b), bwd)
+    return Tensor(x.data + b.data,
+                  ((x, _same), (b, lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0))))
 
 
 def neg(x: Tensor) -> Tensor:
-    return Tensor(-x.data, (x,), lambda g: x.accumulate(-g))
+    return Tensor(-x.data, ((x, np.negative),))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -239,16 +227,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s: float) -> Tensor:
-    return Tensor(x.data * s, (x,), lambda g: x.accumulate(g * s))
+    return Tensor(x.data * s, ((x, lambda g: g * s),))
 
 
-def add_const(x: Tensor, c: float) -> Tensor:
-    return Tensor(x.data + c, (x,), lambda g: x.accumulate(g))
-
-
-def add_const_array(x: Tensor, c: np.ndarray) -> Tensor:
-    """Add a non-differentiable array (broadcastable), e.g. an attention mask."""
-    return Tensor(x.data + c, (x,), lambda g: x.accumulate(g))
+def add_const(x: Tensor, c) -> Tensor:
+    """Add a non-differentiable float or broadcastable array, e.g. an
+    attention mask."""
+    return Tensor(x.data + c, ((x, _same),))
 
 
 def scale_by_scalar(x: Tensor, s: Tensor) -> Tensor:
@@ -256,29 +241,23 @@ def scale_by_scalar(x: Tensor, s: Tensor) -> Tensor:
     if s.data.size != 1:
         raise ShapeError(f"scale_by_scalar expects a scalar, got shape {s.data.shape}")
     sval = float(s.data.reshape(()))
-    need_x, need_s = x.requires_grad, s.requires_grad
-
-    def bwd(g):
-        if need_x:
-            x.accumulate(g * sval)
-        if need_s:
-            s.accumulate(np.array((g * x.data).sum()).reshape(s.data.shape))
-
-    return Tensor(x.data * sval, (x, s), bwd)
+    return Tensor(x.data * sval,
+                  ((x, lambda g: g * sval),
+                   (s, lambda g: np.array((g * x.data).sum()).reshape(s.data.shape))))
 
 
 def one_minus(x: Tensor) -> Tensor:
-    return Tensor(1.0 - x.data, (x,), lambda g: x.accumulate(-g))
+    return Tensor(1.0 - x.data, ((x, np.negative),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
-    return Tensor(x.data.reshape(shape), (x,), lambda g: x.accumulate(g.reshape(old)))
+    return Tensor(x.data.reshape(shape), ((x, lambda g: g.reshape(old)),))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
     inv = np.argsort(axes)
-    return Tensor(x.data.transpose(axes), (x,), lambda g: x.accumulate(g.transpose(inv)))
+    return Tensor(x.data.transpose(axes), ((x, lambda g: g.transpose(inv)),))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -286,12 +265,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        x.accumulate(p * (g - dot))
-
-    return Tensor(p, (x,), bwd)
+    return Tensor(p, ((x, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True))),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
@@ -305,21 +279,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
-    need_x, need_gain, need_bias = x.requires_grad, gain.requires_grad, bias.requires_grad
 
-    def bwd(g):
-        if need_gain:
-            gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        if need_bias:
-            bias.accumulate(g.reshape(-1, d).sum(axis=0))
-        if need_x:
-            gx_hat = g * gain.data
-            # standard layernorm backward over the last axis
-            m1 = gx_hat.mean(axis=-1, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate(inv * (gx_hat - m1 - xhat * m2))
+    def vjp_x(g):
+        # standard layernorm backward over the last axis
+        gx_hat = g * gain.data
+        m1 = gx_hat.mean(axis=-1, keepdims=True)
+        m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        return inv * (gx_hat - m1 - xhat * m2)
 
-    return Tensor(out, (x, gain, bias), bwd)
+    return Tensor(out, ((x, vjp_x),
+                        (gain, lambda g: (g * xhat).reshape(-1, d).sum(axis=0)),
+                        (bias, lambda g: g.reshape(-1, d).sum(axis=0))))
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -329,62 +299,49 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     phi = 0.5 * (1.0 + erf(x.data / _SQRT2))
-    out = x.data * phi
 
-    def bwd(g):
+    def vjp(g):
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        x.accumulate(g * (phi + x.data * pdf))
+        return g * (phi + x.data * pdf)
 
-    return Tensor(out, (x,), bwd)
+    return Tensor(x.data * phi, ((x, vjp),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
-    return Tensor(s, (x,), lambda g: x.accumulate(g * s * (1.0 - s)))
+    return Tensor(s, ((x, lambda g: g * s * (1.0 - s)),))
 
 
 def log(x: Tensor) -> Tensor:
-    return Tensor(np.log(x.data), (x,), lambda g: x.accumulate(g / x.data))
+    return Tensor(np.log(x.data), ((x, lambda g: g / x.data),))
 
 
 def square(x: Tensor) -> Tensor:
-    return Tensor(x.data * x.data, (x,), lambda g: x.accumulate(2.0 * g * x.data))
+    return Tensor(x.data * x.data, ((x, lambda g: 2.0 * g * x.data),))
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: out[i] = weight[ids[i]]."""
     ids = np.asarray(ids, dtype=np.int64)
 
-    def bwd(g):
-        if weight.grad is None:
-            weight.grad = np.zeros_like(weight.data)
-        np.add.at(weight.grad, ids, g)
+    def vjp(g):
+        gw = np.zeros_like(weight.data)
+        np.add.at(gw, ids, g)
+        return gw
 
-    return Tensor(weight.data[ids], (weight,), bwd)
+    return Tensor(weight.data[ids], ((weight, vjp),))
 
 
 def pick(x: Tensor, idx: np.ndarray) -> Tensor:
     """out[i] = x[i, idx[i]] for a 2-D tensor."""
     idx = np.asarray(idx, dtype=np.int64)
     rows = np.arange(x.data.shape[0])
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[rows, idx] = g
-        x.accumulate(gx)
-
-    return Tensor(x.data[rows, idx], (x,), bwd)
+    return Tensor(x.data[rows, idx], ((x, lambda g: _scatter(x.data, (rows, idx), g)),))
 
 
 def index_row(x: Tensor, i: int) -> Tensor:
     """Select row i of a 2-D tensor."""
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[i] = g
-        x.accumulate(gx)
-
-    return Tensor(x.data[i], (x,), bwd)
+    return Tensor(x.data[i], ((x, lambda g: _scatter(x.data, i, g)),))
 
 
 def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -393,24 +350,17 @@ def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:
     n = int(mask.sum())
     if n == 0:
         raise ContractError("masked_mean_rows: mask selects no rows")
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[mask] = g / n
-        x.accumulate(gx)
-
-    return Tensor(x.data[mask].mean(axis=0), (x,), bwd)
+    return Tensor(x.data[mask].mean(axis=0),
+                  ((x, lambda g: _scatter(x.data, mask, g / n)),))
 
 
 def tsum(x: Tensor) -> Tensor:
-    return Tensor(np.array(x.data.sum()), (x,),
-                  lambda g: x.accumulate(np.broadcast_to(g, x.data.shape).copy()))
+    return Tensor(np.array(x.data.sum()), ((x, _same),))
 
 
 def tmean(x: Tensor) -> Tensor:
     n = x.data.size
-    return Tensor(np.array(x.data.mean()), (x,),
-                  lambda g: x.accumulate(np.broadcast_to(g / n, x.data.shape).copy()))
+    return Tensor(np.array(x.data.mean()), ((x, lambda g: g / n),))
 
 
 def mean_of(nodes: Sequence[Tensor]) -> Tensor:
@@ -419,10 +369,4 @@ def mean_of(nodes: Sequence[Tensor]) -> Tensor:
         raise ContractError("mean_of requires at least one node")
     n = len(nodes)
     out_data = np.array(sum(float(t.data) for t in nodes) / n)
-    needed = [t for t in nodes if t.requires_grad]
-
-    def bwd(g):
-        for t in needed:
-            t.accumulate(np.broadcast_to(g / n, t.data.shape).copy())
-
-    return Tensor(out_data, tuple(nodes), bwd)
+    return Tensor(out_data, [(t, lambda g: g / n) for t in nodes])

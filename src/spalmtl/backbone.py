@@ -166,7 +166,7 @@ def multi_head_attention(x: Tensor, mask: np.ndarray, num_heads: int,
     v = proj(wv, bv)
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
     key_bias = np.where(np.asarray(mask, dtype=bool), 0.0, MASK_NEG)
-    scores = ad.add_const_array(scores, key_bias[None, None, :])
+    scores = ad.add_const(scores, key_bias[None, None, :])
     probs = ad.softmax_rows(scores)
     ctx = ad.matmul(probs, v)  # [H, seq, dh]
     ctx = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (seq, d_model))

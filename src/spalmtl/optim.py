@@ -17,6 +17,9 @@ from .errors import ContractError
 DEFAULT_BASE_LR = 5e-5
 DEFAULT_WARMUP_STEPS = 500
 DEFAULT_WEIGHT_DECAY = 0.01
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -27,9 +30,6 @@ class OptimizerState:
     base_lr: float = DEFAULT_BASE_LR
     warmup_steps: int = DEFAULT_WARMUP_STEPS
     weight_decay: float = DEFAULT_WEIGHT_DECAY
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     # keyed by param name; populated lazily
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -57,8 +57,8 @@ def adamw_step(params: list[Param], state: OptimizerState) -> None:
     state.step += 1
     t = state.step
     lr = lr_at(t, state)
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for p in params:
         if not p.trainable:
             continue
@@ -71,9 +71,9 @@ def adamw_step(params: list[Param], state: OptimizerState) -> None:
         v = state.v.get(key)
         if v is None:
             v = state.v[key] = np.zeros_like(p.data)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * p.grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (p.grad * p.grad)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * p.grad
+        v *= BETA2
+        v += (1.0 - BETA2) * (p.grad * p.grad)
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
         p.data -= lr * (update + state.weight_decay * p.data)

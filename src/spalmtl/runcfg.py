@@ -48,7 +48,6 @@ class AnalysisConfig:
 class RunConfig:
     backbone: BackboneConfig
     spal_hidden: int | None
-    freeze_backbone: bool
     probe: bool
     plan: TrainPlan
     generator: GeneratorSpec | None
@@ -80,7 +79,7 @@ class RunConfig:
     def build_model(self, data: dict[str, TaskData], seed: int) -> MtlModel:
         return MtlModel.build(
             self.backbone, self.task_specs(data), spal_hidden=self.spal_hidden,
-            seed=seed, freeze_backbone=self.freeze_backbone, probe=self.probe)
+            seed=seed, freeze_backbone=self.plan.freeze_backbone, probe=self.probe)
 
 
 def parse_generator(obj: dict) -> GeneratorSpec:
@@ -118,9 +117,17 @@ def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:
     else:
         raise ConfigError("backbone must be a preset name or a config object")
 
+    flags = {"freeze_backbone": obj.get("freeze_backbone", True),
+             "probe": obj.get("probe", False)}
+    for k, v in flags.items():
+        if not isinstance(v, bool):
+            raise ConfigError(f"{k} must be true or false, got {v!r}")
+
+    # The plan alone decides whether the backbone trains: run_training
+    # re-applies it, and run.json records it.
     plan_obj = obj.get("plan", {})
     _check_keys(plan_obj, _PLAN_KEYS, "plan")
-    plan = TrainPlan(**plan_obj)
+    plan = TrainPlan(**plan_obj, freeze_backbone=flags["freeze_backbone"])
 
     data_obj = obj.get("data")
     if not data_obj:
@@ -144,15 +151,10 @@ def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:
     spal_hidden = obj.get("spal_hidden")
     if spal_hidden is not None and type(spal_hidden) is not int:
         raise ConfigError(f"spal_hidden must be an integer or null, got {spal_hidden!r}")
-    flags = {"freeze_backbone": obj.get("freeze_backbone", True),
-             "probe": obj.get("probe", False)}
-    for k, v in flags.items():
-        if not isinstance(v, bool):
-            raise ConfigError(f"{k} must be true or false, got {v!r}")
     return RunConfig(
-        backbone=backbone, spal_hidden=spal_hidden, plan=plan, generator=generator,
-        jsonl_tasks=jsonl_tasks, analysis=analysis,
-        out_dir=obj.get("out_dir"), base_dir=base_dir, **flags)
+        backbone=backbone, spal_hidden=spal_hidden, probe=flags["probe"], plan=plan,
+        generator=generator, jsonl_tasks=jsonl_tasks, analysis=analysis,
+        out_dir=obj.get("out_dir"), base_dir=base_dir)
 
 
 def load_run_config(path) -> RunConfig:

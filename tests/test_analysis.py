@@ -427,7 +427,7 @@ def test_no_graph_encoding_has_no_parents():
     with ad.no_graph():
         enc = model.encode(ids)
     for t in enc.per_layer_outputs:
-        assert t._parents == () and t._backward is None and not t.requires_grad
+        assert t._parents == () and not t.requires_grad
 
 
 def test_inference_matches_graph_mode(monkeypatch):

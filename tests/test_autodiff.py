@@ -107,7 +107,7 @@ def test_only_values_that_need_a_gradient_are_recorded():
     const = ad.matmul(ad.Tensor(np.ones((1, 2))), w)
     assert not const.requires_grad and const._parents == ()
     y = ad.matmul(x, w)
-    assert y.requires_grad and y._parents == (x,)
+    assert y.requires_grad and [p for p, _ in y._parents] == [x]
     ad.backward(ad.tsum(y))
     assert w.grad is None and np.array_equal(x.grad, [[1.0, 1.0]])
     with ad.no_graph():
@@ -133,45 +133,109 @@ def test_two_layer_network_finite_differences():
         assert grads_close(fd, p.grad), p.name
 
 
-@pytest.mark.parametrize("op", ["sigmoid", "layer_norm", "masked_mean", "softmax",
-                                "pick", "embedding", "scale_by_scalar"])
+# op -> (fixed seed, the inputs it is differentiated against, its output)
+OPS = {
+    "matmul": (101, ("x", "w"), lambda t: ad.matmul(t["x"], t["w"])),
+    "matmul_batched": (102, ("xb", "wb"), lambda t: ad.matmul(t["xb"], t["wb"])),
+    "add": (103, ("x", "y"), lambda t: ad.add(t["x"], t["y"])),
+    "add_bias": (104, ("x", "bias"), lambda t: ad.add_bias(t["x"], t["bias"])),
+    "neg": (105, ("x",), lambda t: ad.neg(t["x"])),
+    "sub": (106, ("x", "y"), lambda t: ad.sub(t["x"], t["y"])),
+    "scale": (107, ("x",), lambda t: ad.scale(t["x"], -1.7)),
+    "add_const": (108, ("x",),
+                  lambda t: ad.add_const(ad.add_const(t["x"], 0.3), np.arange(4.0))),
+    "scale_by_scalar": (109, ("x", "s"), lambda t: ad.scale_by_scalar(t["x"], t["s"])),
+    "one_minus": (110, ("x",), lambda t: ad.one_minus(t["x"])),
+    "reshape": (111, ("x",), lambda t: ad.reshape(t["x"], (2, 6))),
+    "transpose": (112, ("xb",), lambda t: ad.transpose(t["xb"], (2, 0, 1))),
+    "softmax": (113, ("x",), lambda t: ad.softmax_rows(t["x"])),
+    "layer_norm": (114, ("x", "gain", "bias"),
+                   lambda t: ad.layer_norm(t["x"], t["gain"], t["bias"])),
+    "gelu": (115, ("x",), lambda t: ad.gelu(t["x"])),
+    "sigmoid": (116, ("x",), lambda t: ad.sigmoid(t["x"])),
+    "log": (117, ("pos",), lambda t: ad.log(t["pos"])),
+    "square": (118, ("x",), lambda t: ad.square(t["x"])),
+    "embedding": (119, ("x",), lambda t: ad.embedding(t["x"], np.array([2, 0, 2]))),
+    "pick": (120, ("x",), lambda t: ad.pick(t["x"], np.array([1, 3, 0]))),
+    "index_row": (121, ("x",), lambda t: ad.index_row(t["x"], 1)),
+    "masked_mean": (122, ("x",),
+                    lambda t: ad.masked_mean_rows(t["x"], np.array([True, False, True]))),
+    "tsum": (123, ("x",), lambda t: ad.tsum(t["x"])),
+    "tmean": (124, ("x",), lambda t: ad.tmean(t["x"])),
+    "mean_of": (125, ("x", "y"), lambda t: ad.mean_of(
+        [ad.tsum(t["x"]), ad.constant(2.0), ad.tmean(ad.square(t["y"]))])),
+}
+
+
+def _op_inputs(op, frozen=()):
+    """The op's inputs, drawn from its fixed seed; ``frozen`` ones untrainable."""
+    rng = np.random.default_rng(OPS[op][0])
+    arrays = {
+        "x": rng.normal(size=(3, 4)),
+        "y": rng.normal(size=(3, 4)),
+        "w": rng.normal(size=(4, 2)),
+        "xb": rng.normal(size=(2, 3, 4)),
+        "wb": rng.normal(size=(2, 4, 2)),
+        "gain": rng.normal(size=4) + 1.0,
+        "bias": rng.normal(size=4),
+        "s": np.array(0.7),
+        "pos": rng.uniform(0.5, 2.0, size=(3, 4)),
+    }
+    return {k: ad.Param(v, name=k, trainable=k not in frozen) for k, v in arrays.items()}
+
+
+def _op_loss(op, t):
+    return ad.tmean(ad.square(OPS[op][2](t)))
+
+
+def test_every_op_has_a_finite_difference_case():
+    aliases = {"matmul_batched": "matmul", "softmax": "softmax_rows",
+               "masked_mean": "masked_mean_rows"}
+    ops = set(ad.__all__) - {"Tensor", "Param", "backward", "no_graph", "constant"}
+    assert {aliases.get(op, op) for op in OPS} == ops
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
 def test_op_finite_differences(op):
-    rng = np.random.default_rng(hash(op) % 2**32)
-    x = ad.Param(rng.normal(size=(3, 4)), name="x")
-    gain = ad.Param(rng.normal(size=4) + 1.0, name="g")
-    bias = ad.Param(rng.normal(size=4), name="b")
-    s = ad.Param(np.array(0.7), name="s")
-    mask = np.array([True, False, True])
-    idx = np.array([1, 3, 0])
-    ids = np.array([2, 0, 2])
-
-    def forward():
-        if op == "sigmoid":
-            y = ad.sigmoid(x)
-        elif op == "layer_norm":
-            y = ad.layer_norm(x, gain, bias)
-        elif op == "masked_mean":
-            y = ad.masked_mean_rows(x, mask)
-        elif op == "softmax":
-            y = ad.softmax_rows(x)
-        elif op == "pick":
-            y = ad.pick(x, idx)
-        elif op == "embedding":
-            y = ad.embedding(x, ids)
-        else:
-            y = ad.scale_by_scalar(x, s)
-        return ad.tmean(ad.square(y))
-
-    loss = forward()
-    ad.backward(loss)
-    params = {"x": x}
-    if op == "layer_norm":
-        params.update(g=gain, b=bias)
-    if op == "scale_by_scalar":
-        params["s"] = s
-    for name, p in params.items():
-        fd = fd_gradient(lambda: float(forward().data), p.data)
+    t = _op_inputs(op)
+    ad.backward(_op_loss(op, t))
+    for name in OPS[op][1]:
+        p = t[name]
+        fd = fd_gradient(lambda: float(_op_loss(op, t).data), p.data)
         assert grads_close(fd, p.grad), f"{op}/{name}"
+
+
+@pytest.mark.parametrize("op", sorted(op for op, case in OPS.items() if len(case[1]) > 1))
+def test_frozen_input_changes_no_other_gradient(op):
+    full = _op_inputs(op)
+    ad.backward(_op_loss(op, full))
+    for frozen in OPS[op][1]:
+        t = _op_inputs(op, frozen=(frozen,))
+        ad.backward(_op_loss(op, t))
+        assert t[frozen].grad is None, f"{op}/{frozen}"
+        for name in set(OPS[op][1]) - {frozen}:
+            assert np.array_equal(t[name].grad, full[name].grad), f"{op}/{name}"
+
+
+def test_vjp_runs_only_for_inputs_that_need_a_gradient():
+    calls = []
+
+    def vjp(name):
+        def f(g):
+            calls.append(name)
+            return g
+        return f
+
+    x = ad.Param(np.ones(2), name="x")
+    w = ad.Param(np.ones(2), name="w", trainable=False)
+    c = ad.constant(np.ones(2))
+    pairs = ((x, vjp("x")), (w, vjp("w")), (c, vjp("c")))
+    y = ad.Tensor(x.data + w.data + c.data, pairs)
+    assert [p for p, _ in y._parents] == [x]
+    ad.backward(ad.tsum(y))
+    assert calls == ["x"] and w.grad is None and c.grad is None
+    with ad.no_graph():
+        assert ad.Tensor(x.data, pairs)._parents == ()
 
 
 def test_deep_chain_exceeds_recursion_limit():

@@ -139,6 +139,20 @@ def test_train_with_analysis_artifacts(tmp_path):
     assert layers_at_step0 == ["1", "2"]
 
 
+@pytest.mark.parametrize("freeze", [True, False])
+def test_freeze_backbone_key_decides_whether_the_backbone_trains(tmp_path, freeze):
+    cfg_path = _write_config(tmp_path, freeze_backbone=freeze)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["plan"]["freeze_backbone"] is freeze
+    cfg = load_run_config(cfg_path)
+    initial = cfg.build_model(cfg.build_data(), seed=1).all_params()
+    trained = load_checkpoint(out / "ckpt_final.spal")[0].all_params()
+    w = "backbone.layer0.ff.w1"
+    assert trained[w].trainable is not freeze
+    assert (trained[w].data.tobytes() == initial[w].data.tobytes()) is freeze
+
+
 def test_best_checkpoints_saved_per_task(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "run"

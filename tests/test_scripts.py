@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,8 +18,6 @@ def _script(name):
 
 @pytest.fixture(autouse=True)
 def _in_tmp(tmp_path, monkeypatch):
-    # the scripts also write their generated config to a temporary file
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     monkeypatch.chdir(tmp_path)
 
 
@@ -35,6 +32,7 @@ def test_capacity_sweep(tmp_path, capsys):
     assert _script("run_capacity_sweep").main(
         ["--out", str(out), "--hidden", "4", "--seeds", "1-2", "--epochs", "1",
          "--scale", "0.05"]) == 0
+    assert json.loads((out / "config.json").read_text())["plan"]["epochs"] == 1
     agg = json.loads((out / "h4" / "aggregate.json").read_text())
     assert agg["seeds"] == [1, 2]
     assert (out / "h4" / "seed2" / "repgen.csv").exists()
@@ -43,6 +41,7 @@ def test_capacity_sweep(tmp_path, capsys):
 def test_diagnostics(tmp_path, capsys):
     out = tmp_path / "diag"
     assert _script("run_diagnostics").main(["--out", str(out), "--epochs", "1"]) == 0
+    assert json.loads((out / "config.json").read_text())["plan"]["epochs"] == 1
     for name in ("run.json", "repgen.csv", "probe.csv", "embeddings.csv",
                  "ckpt_final.spal"):
         assert (out / name).exists(), name
