@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         seed=0))
 
     mtl_scores, stl_scores = [], []
-    for seed in _parse_int_list(args.seeds):
+    for seed in _parse_int_list(args.seeds, "--seeds"):
         plan = TrainPlan(epochs=args.epochs, eval_interval=16, seed=seed,
                          base_lr=args.base_lr, warmup_steps=20)
         model = MtlModel.build(BACKBONE, [data[t].spec for t in sorted(data)],

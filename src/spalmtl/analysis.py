@@ -5,13 +5,13 @@ All functions here are read-only over the model: parameters and optimizer
 state are left bit-unchanged (gradient buffers are scratch space and are
 zeroed before returning).
 
-Two loops serve every diagnostic. ``task_mean_representation`` runs under
-``no_graph()``, encodes each example once and pools every requested layer
-from that one encoding; rep-gen and the text embedding use it.
-``_backward_each`` builds, differentiates and drops one example's graph at
-a time: the gradient snapshot sums the per-example gradients in the grad
-buffers and the task embedding squares each one, so at most one example's
-graph is alive at any moment.
+Diagnostics share training's batched forward (``MtlModel.encode_examples``).
+``task_mean_representation`` encodes each example once, in no-graph padded
+batches of ``FORWARD_CHUNK``, and pools every requested layer; rep-gen and
+the text embedding use it. ``_backward_each`` encodes, differentiates and
+drops one example (a batch of one) at a time: the gradient snapshot sums
+the per-example gradients in the grad buffers and the task embedding
+squares each one, so one example's graph is alive at any moment.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .model import MtlModel
+from .model import FORWARD_CHUNK, MtlModel
 from .tasks import TaskData, TaskSpec, head_forward, task_loss
 
 @dataclass
@@ -64,13 +64,12 @@ def task_mean_representation(model: MtlModel, examples: list, task_id: str,
     example is encoded once, whatever the number of layers."""
     if not examples:
         raise ContractError("task_mean_representation needs a non-empty dataset")
-    acc: list = [None] * len(layers)
+    acc = [0.0] * len(layers)
     with ad.no_graph():
-        for ex in examples:
-            enc = model.encode(ex.token_ids)
+        for start in range(0, len(examples), FORWARD_CHUNK):
+            enc = model.encode_examples(examples[start:start + FORWARD_CHUNK])
             for i, layer in enumerate(layers):
-                pooled = enc.pooled_mean(layer).data
-                acc[i] = pooled if acc[i] is None else acc[i] + pooled
+                acc[i] = acc[i] + enc.pooled_mean(layer).data.sum(axis=0)
     return [RepSummary(task_id=task_id, layer=layer, vector=a / len(examples))
             for layer, a in zip(layers, acc)]
 
@@ -122,9 +121,8 @@ def _backward_each(model: MtlModel, spec: TaskSpec, examples: list):
     accumulate in the grad buffers until the caller zeroes them."""
     model.zero_grads()
     for ex in examples:
-        enc = model.encode(ex.token_ids)
-        preds = head_forward(enc, model.heads[spec.id])
-        ad.backward(task_loss(spec, preds, ex.label))
+        logits = head_forward(model.encode_examples([ex]), model.heads[spec.id])
+        ad.backward(task_loss(spec, logits, [ex.label]))
         yield
 
 

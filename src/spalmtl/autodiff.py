@@ -1,24 +1,23 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-A ``Tensor`` wraps an ndarray plus one ``(input, vjp)`` pair per input that
-requires a gradient. ``vjp`` is the vector-Jacobian product: it maps the
-gradient of the tensor to that input's share of it. The tape is just the
-implicit DAG of these links; ``backward`` topologically sorts it and, in
-reverse, adds ``vjp(node.grad)`` into each input's gradient. The graph is
-rebuilt on every forward pass.
+A ``Tensor`` holds an ndarray and one ``(input, vjp)`` pair per input that
+requires a gradient; ``vjp`` maps the tensor's gradient to that input's
+share. ``backward`` sorts this implicit DAG and, in reverse, adds
+``vjp(node.grad)`` into each input's gradient. The graph is rebuilt on
+every forward pass, and a flipped ``trainable`` flag takes effect on the
+next one.
 
-Only values that lead back to a trainable ``Param`` are recorded (activity
-analysis). ``requires_grad`` is a Param's ``trainable`` flag, and for any
-other tensor it is true when at least one input requires a gradient. An op
-lists a vjp for every input; ``Tensor.__init__`` keeps only the pairs whose
-input requires a gradient, so a frozen weight's vjp is never called and its
-gradient never formed. A tensor none of whose inputs requires a gradient
-is a constant with no links. Flipping ``trainable`` therefore takes effect
-on the next forward pass, not on a graph already built.
+Only values that lead back to a trainable ``Param`` are recorded:
+``Tensor.__init__`` keeps a pair only when its input requires a gradient
+(a Param's ``trainable`` flag, or for any other tensor, any recorded
+input), so a frozen weight's gradient is never formed. Under
+``no_graph()`` (per thread) every op returns a constant; evaluation and
+the diagnostics run there.
 
-Inside ``with no_graph():`` every op returns a constant, whatever its
-inputs; forward-only code (evaluation, diagnostics) runs there. The mode is
-per thread, so a worker thread enters it for itself.
+Values carry a leading batch axis: ``matmul`` applies a shared weight to
+every row of a [..., k] input, ``pick`` and ``masked_mean_rows`` pool each
+row, and the loss op ``cross_entropy`` is a fused log-softmax that stays
+finite however far apart the logits are.
 """
 
 from __future__ import annotations
@@ -54,15 +53,13 @@ __all__ = [
     "layer_norm",
     "gelu",
     "sigmoid",
-    "log",
     "square",
+    "cross_entropy",
     "embedding",
     "pick",
-    "index_row",
     "masked_mean_rows",
     "tsum",
     "tmean",
-    "mean_of",
 ]
 
 _mode = threading.local()
@@ -97,10 +94,6 @@ class Tensor:
     @property
     def requires_grad(self) -> bool:
         return bool(self._parents)
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -187,17 +180,16 @@ def _same(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _scatter(like: np.ndarray, index, values) -> np.ndarray:
-    """Zeros shaped like ``like`` with ``values`` written at ``index``."""
-    out = np.zeros_like(like)
-    out[index] = values
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. 2-D, or batched with identical leading dims."""
+    """Matrix product: 2-D, batched with identical leading dims, or [..., k]
+    times a shared [k, n] weight as one 2-D product over the leading rows."""
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
+    if a.data.ndim > 2 and b.data.ndim == 2:
+        rows, shape = a.data.reshape(-1, a.data.shape[-1]), a.data.shape
+        return Tensor((rows @ b.data).reshape(shape[:-1] + b.data.shape[-1:]),
+                      ((a, lambda g: (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(shape)),
+                       (b, lambda g: rows.T @ g.reshape(-1, g.shape[-1]))))
     return Tensor(np.matmul(a.data, b.data),
                   ((a, lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2))),
                    (b, lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g))))
@@ -312,16 +304,25 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor(s, ((x, lambda g: g * s * (1.0 - s)),))
 
 
-def log(x: Tensor) -> Tensor:
-    return Tensor(np.log(x.data), ((x, lambda g: g / x.data),))
-
-
 def square(x: Tensor) -> Tensor:
     return Tensor(x.data * x.data, ((x, lambda g: 2.0 * g * x.data),))
 
 
+def cross_entropy(z: Tensor, y: np.ndarray) -> Tensor:
+    """Per-row softmax cross-entropy of logits z [..., k] against class
+    indices y [...]: logsumexp(z) - z[y], which stays finite whatever the
+    gap between logits. The vjp is softmax(z) - onehot(y), scaled by g."""
+    y = np.asarray(y, dtype=np.int64)[..., None]
+    shifted = z.data - z.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    out = (np.log(total) - np.take_along_axis(shifted, y, axis=-1))[..., 0]
+    onehot = np.arange(z.data.shape[-1]) == y
+    return Tensor(out, ((z, lambda g: (e / total - onehot) * g[..., None]),))
+
+
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: out[i] = weight[ids[i]]."""
+    """Row lookup: out[...] = weight[ids[...]] for ids of any shape."""
     ids = np.asarray(ids, dtype=np.int64)
 
     def vjp(g):
@@ -333,25 +334,27 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def pick(x: Tensor, idx: np.ndarray) -> Tensor:
-    """out[i] = x[i, idx[i]] for a 2-D tensor."""
-    idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(x.data.shape[0])
-    return Tensor(x.data[rows, idx], ((x, lambda g: _scatter(x.data, (rows, idx), g)),))
+    """out[i] = x[i, idx[i]] for a tensor of two or more dims."""
+    at = (np.arange(x.data.shape[0]), np.asarray(idx, dtype=np.int64))
 
+    def vjp(g):
+        out = np.zeros_like(x.data)
+        out[at] = g
+        return out
 
-def index_row(x: Tensor, i: int) -> Tensor:
-    """Select row i of a 2-D tensor."""
-    return Tensor(x.data[i], ((x, lambda g: _scatter(x.data, i, g)),))
+    return Tensor(x.data[at], ((x, vjp),))
 
 
 def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over rows where mask is True; x is [seq, d]."""
+    """out[b] = mean of x[b, t] over the t where mask[b, t] is True, for x
+    [B, T, d] and mask [B, T]; every row of mask selects at least one t."""
     mask = np.asarray(mask, dtype=bool)
-    n = int(mask.sum())
-    if n == 0:
+    n = mask.sum(axis=1)[:, None]
+    if not n.all():
         raise ContractError("masked_mean_rows: mask selects no rows")
-    return Tensor(x.data[mask].mean(axis=0),
-                  ((x, lambda g: _scatter(x.data, mask, g / n)),))
+    keep = mask[..., None]
+    return Tensor(np.where(keep, x.data, 0.0).sum(axis=1) / n,
+                  ((x, lambda g: np.where(keep, (g / n)[:, None, :], 0.0)),))
 
 
 def tsum(x: Tensor) -> Tensor:
@@ -361,12 +364,3 @@ def tsum(x: Tensor) -> Tensor:
 def tmean(x: Tensor) -> Tensor:
     n = x.data.size
     return Tensor(np.array(x.data.mean()), ((x, lambda g: g / n),))
-
-
-def mean_of(nodes: Sequence[Tensor]) -> Tensor:
-    """Mean of a list of scalar tensors."""
-    if not nodes:
-        raise ContractError("mean_of requires at least one node")
-    n = len(nodes)
-    out_data = np.array(sum(float(t.data) for t in nodes) / n)
-    return Tensor(out_data, [(t, lambda g: g / n) for t in nodes])

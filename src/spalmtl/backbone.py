@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Param, Tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 
 if TYPE_CHECKING:
     from .spal import SpalStack
@@ -57,21 +57,24 @@ PRESETS = {"bert-base": BERT_BASE, "toy": TOY}
 
 @dataclass
 class Encoding:
-    """Per-layer outputs of one forward pass."""
+    """Per-layer [B, T, d] outputs of one forward pass over a padded batch."""
 
     per_layer_outputs: list[Tensor]
-    attention_mask: np.ndarray
+    attention_mask: np.ndarray  # [B, T], True at non-padding positions
 
     def final(self) -> Tensor:
         return self.per_layer_outputs[-1]
 
     def pooled_first(self) -> Tensor:
-        """First non-padding position of the final layer."""
-        idx = int(np.flatnonzero(self.attention_mask)[0])
-        return ad.index_row(self.final(), idx)
+        """[B, d]: each row's first non-padding position of the final layer."""
+        return ad.pick(self.final(), self.attention_mask.argmax(axis=1))
 
     def pooled_mean(self, layer: int) -> Tensor:
-        """Mean over non-padding positions of the given layer (1-based from 1..L)."""
+        """[B, d]: each row's mean over its non-padding positions of the
+        given layer (1-based, 1..L)."""
+        if not 1 <= layer <= len(self.per_layer_outputs):
+            raise ContractError(
+                f"layer {layer} outside 1..{len(self.per_layer_outputs)}")
         return ad.masked_mean_rows(self.per_layer_outputs[layer - 1], self.attention_mask)
 
 
@@ -145,12 +148,12 @@ def init_backbone(config: BackboneConfig, seed: int) -> Backbone:
 def multi_head_attention(x: Tensor, mask: np.ndarray, num_heads: int,
                          wq: Param, bq, wk: Param, bk, wv: Param, bv,
                          wo: Param, bo) -> Tensor:
-    """Standard scaled dot-product attention over [seq, dim] input.
+    """Standard scaled dot-product attention over [B, T, dim] input.
 
     Padding key positions get a large negative additive bias. Biases may be
     None (the SPAL branch has none).
     """
-    seq, d_in = x.data.shape
+    batch, seq, _ = x.data.shape
     d_model = wq.data.shape[1]
     dh = d_model // num_heads
 
@@ -158,18 +161,18 @@ def multi_head_attention(x: Tensor, mask: np.ndarray, num_heads: int,
         y = ad.matmul(x, wmat)
         if bvec is not None:
             y = ad.add_bias(y, bvec)
-        # [seq, d] -> [H, seq, dh]
-        return ad.transpose(ad.reshape(y, (seq, num_heads, dh)), (1, 0, 2))
+        # [B, T, d] -> [B, H, T, dh]
+        return ad.transpose(ad.reshape(y, (batch, seq, num_heads, dh)), (0, 2, 1, 3))
 
     q = proj(wq, bq)
     k = proj(wk, bk)
     v = proj(wv, bv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    key_bias = np.where(np.asarray(mask, dtype=bool), 0.0, MASK_NEG)
-    scores = ad.add_const(scores, key_bias[None, None, :])
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    key_bias = np.where(mask, 0.0, MASK_NEG)
+    scores = ad.add_const(scores, key_bias[:, None, None, :])
     probs = ad.softmax_rows(scores)
-    ctx = ad.matmul(probs, v)  # [H, seq, dh]
-    ctx = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (seq, d_model))
+    ctx = ad.matmul(probs, v)  # [B, H, T, dh]
+    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, seq, d_model))
     out = ad.matmul(ctx, wo)
     if bo is not None:
         out = ad.add_bias(out, bo)
@@ -191,11 +194,13 @@ def _backbone_layer(x: Tensor, mask: np.ndarray, bb: Backbone, i: int) -> Tensor
     return ad.layer_norm(ad.add(x, h), p[f"{pre}.ln2.gain"], p[f"{pre}.ln2.bias"])
 
 
-def encode(token_ids, mask, backbone: Backbone,
+def encode(token_ids, backbone: Backbone,
            spals: "SpalStack | None" = None,
            probe: "ProbeWeights | None" = None,
            force_probe_w: float | None = None) -> Encoding:
-    """Run the encoder, returning every layer's [seq, d] output.
+    """Run the encoder over right-padded [B, T] ids, returning every layer's
+    [B, T, d] output. Padding-id positions are masked as attention keys, so
+    a row's outputs depend neither on its padding nor on the other rows.
 
     With SPALs attached, layer l's output is backbone_layer_l(x) + spal_l(x)
     (a parallel residual branch on the layer input). With probing enabled the
@@ -203,23 +208,22 @@ def encode(token_ids, mask, backbone: Backbone,
     """
     cfg = backbone.config
     ids = np.asarray(token_ids, dtype=np.int64)
-    if mask is None:
-        mask = ids != cfg.padding_token_id
-    mask = np.asarray(mask, dtype=bool)
-    if ids.ndim != 1 or ids.shape != mask.shape:
-        raise DataError(f"token/mask shapes disagree: {ids.shape} vs {mask.shape}")
-    if not mask.any():
+    if ids.ndim != 2:
+        raise DataError(f"token ids must be a [batch, seq] array, got shape {ids.shape}")
+    mask = ids != cfg.padding_token_id
+    if not mask.any(axis=1).all():
         raise DataError("sequence is empty after padding removal")
-    bad = np.flatnonzero((ids < 0) | (ids >= cfg.vocab_size))
+    bad = np.argwhere((ids < 0) | (ids >= cfg.vocab_size))
     if bad.size:
-        pos = int(bad[0])
-        raise DataError(f"token id {int(ids[pos])} out of range at position {pos}")
-    if ids.shape[0] > cfg.max_seq_len:
-        raise DataError(f"sequence length {ids.shape[0]} exceeds max {cfg.max_seq_len}")
+        r, pos = bad[0]
+        raise DataError(f"token id {ids[r, pos]} out of range at position {pos} of row {r}")
+    if ids.shape[1] > cfg.max_seq_len:
+        raise DataError(f"sequence length {ids.shape[1]} exceeds max {cfg.max_seq_len}")
 
     p = backbone.params
+    positions = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
     x = ad.add(ad.embedding(p["backbone.word_emb"], ids),
-               ad.embedding(p["backbone.pos_emb"], np.arange(ids.shape[0])))
+               ad.embedding(p["backbone.pos_emb"], positions))
     x = ad.layer_norm(x, p["backbone.emb_ln.gain"], p["backbone.emb_ln.bias"])
 
     outputs: list[Tensor] = []
@@ -227,16 +231,11 @@ def encode(token_ids, mask, backbone: Backbone,
         frozen_out = _backbone_layer(x, mask, backbone, i)
         if spals is None:
             x = frozen_out
+        elif probe is None and force_probe_w is None:
+            x = ad.add(frozen_out, spals.forward(i, x, mask))
         else:
-            spal_out = spals.forward(i, x, mask)
-            if probe is not None or force_probe_w is not None:
-                if force_probe_w is not None:
-                    w = ad.constant(np.array(force_probe_w))
-                else:
-                    w = probe.weight(i)
-                x = ad.add(ad.scale_by_scalar(frozen_out, w),
-                           ad.scale_by_scalar(spal_out, ad.one_minus(w)))
-            else:
-                x = ad.add(frozen_out, spal_out)
+            w = probe.weight(i) if force_probe_w is None else ad.constant(force_probe_w)
+            x = ad.add(ad.scale_by_scalar(frozen_out, w),
+                       ad.scale_by_scalar(spals.forward(i, x, mask), ad.one_minus(w)))
         outputs.append(x)
     return Encoding(outputs, mask)

@@ -25,16 +25,18 @@ DEFAULT_SWEEP_HIDDEN = (12, 60, 204, 408, 816)
 DEFAULT_SWEEP_SEEDS = (1, 2, 3, 4, 5)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Accept '1,2,3' and '1-5' forms."""
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Accept '1,2,3' and '1-5' forms; a range must not be empty."""
     out: list[int] = []
     for part in text.split(","):
-        part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, _, hi = part.strip().partition("-")
+        try:
+            span = range(int(lo), int(hi or lo) + 1)
+        except ValueError:
+            raise ConfigError(f"{flag} takes integers or ranges (1-5), got {text!r}") from None
+        if not span:
+            raise ConfigError(f"{flag} range {part.strip()!r} is empty")
+        out.extend(span)
     return out
 
 
@@ -157,8 +159,8 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep_capacity(args) -> int:
     cfg = load_run_config(args.config)
-    hiddens = _parse_int_list(args.hidden) if args.hidden else list(DEFAULT_SWEEP_HIDDEN)
-    seeds = _parse_int_list(args.seeds) if args.seeds else list(DEFAULT_SWEEP_SEEDS)
+    hiddens = _parse_int_list(args.hidden, "--hidden") if args.hidden else DEFAULT_SWEEP_HIDDEN
+    seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else DEFAULT_SWEEP_SEEDS
     out = Path(args.out) if args.out else Path(cfg.out_dir or "sweep")
     data = cfg.build_data()
     for h in hiddens:

@@ -9,14 +9,14 @@ deterministic given the plan seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, SpalMtlError
-from .model import MtlModel
+from .model import FORWARD_CHUNK, MtlModel
 from .optim import OptimizerState, adamw_step
 from .tasks import TaskData, TaskSpec, better, head_forward, task_loss, task_metric
 
@@ -45,12 +45,7 @@ class TrainPlan:
 
     def fingerprint(self) -> dict:
         """Plan identity minus the seed, for seed-aggregation checks."""
-        return {
-            "epochs": self.epochs, "eval_interval": self.eval_interval,
-            "temperature": self.temperature,
-            "freeze_backbone": self.freeze_backbone, "base_lr": self.base_lr,
-            "warmup_steps": self.warmup_steps, "weight_decay": self.weight_decay,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "seed"}
 
 
 @dataclass
@@ -145,13 +140,10 @@ def build_mixed_batches(datasets: dict[str, list], batch_sizes: dict[str, int],
 # ---------------------------------------------------------------------------
 
 def batch_loss(model: MtlModel, spec: TaskSpec, examples: list) -> ad.Tensor:
-    """w_t-weighted mean per-example loss over one batch."""
-    nodes = []
-    for ex in examples:
-        enc = model.encode(ex.token_ids)
-        preds = head_forward(enc, model.heads[spec.id])
-        nodes.append(task_loss(spec, preds, ex.label))
-    return ad.scale(ad.mean_of(nodes), spec.weight)
+    """w_t-weighted mean per-example loss over one batch, from one forward
+    pass over the padded batch."""
+    logits = head_forward(model.encode_examples(examples), model.heads[spec.id])
+    return ad.scale(task_loss(spec, logits, [ex.label for ex in examples]), spec.weight)
 
 
 def train_step(model: MtlModel, batch: Batch, specs: dict[str, TaskSpec],
@@ -173,13 +165,16 @@ def train_step(model: MtlModel, batch: Batch, specs: dict[str, TaskSpec],
 def evaluate_task(model: MtlModel, spec: TaskSpec, examples: list) -> float:
     if not examples:
         raise ContractError(f"empty evaluation split for task {spec.id!r}")
-    preds, labels = [], []
+    preds = []
     with ad.no_graph():
-        for ex in examples:
-            enc = model.encode(ex.token_ids)
-            preds.append(head_forward(enc, model.heads[spec.id]).data)
-            labels.append(ex.label)
-    return task_metric(spec, preds, labels)
+        for i in range(0, len(examples), FORWARD_CHUNK):
+            chunk = examples[i:i + FORWARD_CHUNK]
+            logits = head_forward(model.encode_examples(chunk), model.heads[spec.id]).data
+            if spec.kind == "token_classification":
+                preds += [row[:ex.token_ids.size] for row, ex in zip(logits, chunk)]
+            else:
+                preds += list(logits)
+    return task_metric(spec, preds, [ex.label for ex in examples])
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +290,8 @@ def transfer_finetune(model: MtlModel, task: TaskData, plan: TrainPlan,
 
     model.heads = {task.spec.id: Head(task.spec, model.backbone.config.model_dim,
                                       plan.seed + 9000)}
-    few_plan = TrainPlan(
-        epochs=epochs, eval_interval=DEFAULT_EVAL_INTERVAL_STL, seed=plan.seed,
-        temperature=1.0, freeze_backbone=plan.freeze_backbone,
-        base_lr=plan.base_lr, warmup_steps=plan.warmup_steps,
-        weight_decay=plan.weight_decay)
+    few_plan = replace(plan, epochs=epochs, temperature=1.0,
+                       eval_interval=DEFAULT_EVAL_INTERVAL_STL)
     few_data = {task.spec.id: TaskData(spec=task.spec, train=train, dev=dev,
                                        test=task.test)}
     return run_training(few_plan, model, few_data)

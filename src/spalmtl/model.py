@@ -12,6 +12,8 @@ from .errors import ConfigError
 from .spal import SpalConfig, SpalStack, attach_spals
 from .tasks import Head, TaskSpec
 
+FORWARD_CHUNK = 64  # examples per no-graph forward (evaluation, rep-gen)
+
 
 class ProbeWeights:
     """Per-layer scalar pair (a, b); the blend weight is softmax(a, b)[0],
@@ -68,10 +70,19 @@ class MtlModel:
 
     # -- forward ------------------------------------------------------------
 
-    def encode(self, token_ids, mask=None,
-               force_probe_w: float | None = None) -> Encoding:
-        return encode(token_ids, mask, self.backbone, spals=self.spals,
+    def encode(self, token_ids, force_probe_w: float | None = None) -> Encoding:
+        """Encode right-padded [B, T] token ids."""
+        return encode(token_ids, self.backbone, spals=self.spals,
                       probe=self.probe, force_probe_w=force_probe_w)
+
+    def encode_examples(self, examples: list) -> Encoding:
+        """Encode the examples as one batch, each right-padded to the
+        longest one; row b is examples[b]."""
+        ids = np.full((len(examples), max(ex.token_ids.size for ex in examples)),
+                      self.backbone.config.padding_token_id, dtype=np.int64)
+        for row, ex in zip(ids, examples):
+            row[:ex.token_ids.size] = ex.token_ids
+        return self.encode(ids)
 
     # -- parameter views ----------------------------------------------------
 

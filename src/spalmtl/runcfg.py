@@ -27,12 +27,19 @@ _JSONL_TASK_KEYS = {"id", "kind", "metric", "num_classes", "batch_size",
                     "weight", "tag_names", "train", "dev", "test", "marker"}
 _ANALYSIS_KEYS = {"rep_gen", "grad_snapshots", "embeddings", "snapshot_cadence",
                   "layers"}
+_PLAN_NUMBERS = {"temperature", "base_lr", "weight_decay"}  # the rest are integers
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _check_number(where: str, value, integer: bool = True) -> None:
+    if type(value) is not int and (integer or type(value) is not float):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -127,6 +134,8 @@ def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:
     # re-applies it, and run.json records it.
     plan_obj = obj.get("plan", {})
     _check_keys(plan_obj, _PLAN_KEYS, "plan")
+    for k, v in plan_obj.items():
+        _check_number(f"plan.{k}", v, integer=k not in _PLAN_NUMBERS)
     plan = TrainPlan(**plan_obj, freeze_backbone=flags["freeze_backbone"])
 
     data_obj = obj.get("data")
@@ -147,10 +156,17 @@ def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:
     an_obj = obj.get("analysis", {})
     _check_keys(an_obj, _ANALYSIS_KEYS, "analysis")
     analysis = AnalysisConfig(**an_obj)
+    _check_number("analysis.snapshot_cadence", analysis.snapshot_cadence)
+    if analysis.snapshot_cadence <= 0:
+        raise ConfigError("analysis.snapshot_cadence must be positive")
+    layers, num_layers = analysis.layers, backbone.num_layers
+    if layers is not None and not (isinstance(layers, list) and all(
+            type(x) is int and 1 <= x <= num_layers for x in layers)):
+        raise ConfigError(f"analysis.layers must be in 1..{num_layers}, got {layers!r}")
 
     spal_hidden = obj.get("spal_hidden")
-    if spal_hidden is not None and type(spal_hidden) is not int:
-        raise ConfigError(f"spal_hidden must be an integer or null, got {spal_hidden!r}")
+    if spal_hidden is not None:
+        _check_number("spal_hidden", spal_hidden)
     return RunConfig(
         backbone=backbone, spal_hidden=spal_hidden, probe=flags["probe"], plan=plan,
         generator=generator, jsonl_tasks=jsonl_tasks, analysis=analysis,

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Param, Tensor
 from .backbone import Backbone, BackboneConfig, multi_head_attention
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,6 @@ class SpalStack:
     def forward(self, layer: int, x: Tensor, mask: np.ndarray) -> Tensor:
         p = self.params
         pre = f"spal.layer{layer}"
-        if x.data.shape[-1] != self.model_dim:
-            raise ShapeError(
-                f"spal input dim {x.data.shape[-1]} != model dim {self.model_dim}")
         down = ad.matmul(x, p[f"{pre}.down"])
         attn = multi_head_attention(
             down, mask, self.config.num_heads,

@@ -3,14 +3,13 @@ losses and evaluation metrics.
 
 Task kinds are sequence regression (scalar score in [-1, 1]), sequence
 classification (k classes) and token classification (k tags). Each task owns
-a single affine head over the encoder output; classification heads are
-followed by a softmax, the regression head is affine only since its output
-is a scalar score.
+a single affine head over the encoder output. Heads return logits for a
+whole batch; the classification losses apply the softmax inside one fused
+cross-entropy, and the metrics read the argmax of the logits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Param, Tensor
 from .backbone import Encoding
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ConfigError, ContractError, DataError
 
 # Reserved vocabulary ids. Content tokens start at FIRST_CONTENT_ID.
 PAD_ID = 0
@@ -196,47 +195,36 @@ class Head:
 
 
 def head_forward(encoding: Encoding, head: Head) -> Tensor:
-    """Predictions for one example.
-
-    seq_regression -> scalar; seq_classification -> k probabilities;
-    token_classification -> [seq, k] per-token probabilities.
-    """
+    """Logits for a batch: [B] for seq_regression, [B, k] for
+    seq_classification, [B, T, k] for token_classification."""
     spec = head.spec
-    if encoding.final().data.shape[-1] != head.w.data.shape[0]:
-        raise ShapeError(
-            f"representation dim {encoding.final().data.shape[-1]} != head "
-            f"input dim {head.w.data.shape[0]}")
     if spec.kind == "token_classification":
-        logits = ad.add_bias(ad.matmul(encoding.final(), head.w), head.b)
-        return ad.softmax_rows(logits)
-    pooled = encoding.pooled_first()
-    logits = ad.add_bias(ad.matmul(ad.reshape(pooled, (1, -1)), head.w), head.b)
+        return ad.add_bias(ad.matmul(encoding.final(), head.w), head.b)
+    logits = ad.add_bias(ad.matmul(encoding.pooled_first(), head.w), head.b)
     if spec.kind == "seq_regression":
-        return ad.reshape(logits, ())
-    return ad.reshape(ad.softmax_rows(logits), (spec.num_classes,))
+        return ad.reshape(logits, (-1,))
+    return logits
 
 
-def task_loss(spec: TaskSpec, predictions: Tensor, label,
-              mask: np.ndarray | None = None) -> Tensor:
-    """Per-example loss node: squared error for regression, mean NLL over
-    (non-padding) positions for the classification kinds."""
+def task_loss(spec: TaskSpec, logits: Tensor, labels: list) -> Tensor:
+    """Scalar loss of a batch: the mean of its per-example losses, which are
+    squared error for regression, cross-entropy for sequence classification,
+    and for token classification the mean token cross-entropy over the
+    example's own length (its label count)."""
     if spec.kind == "seq_regression":
-        diff = ad.add_const(predictions, -float(label))
-        return ad.square(diff)
+        return ad.tmean(ad.square(ad.add_const(logits, -np.asarray(labels, dtype=np.float64))))
     if spec.kind == "seq_classification":
-        lbl = int(label)
-        if not 0 <= lbl < spec.num_classes:
-            raise DataError(f"label {lbl} out of class range")
-        p = ad.pick(ad.reshape(predictions, (1, spec.num_classes)), np.array([lbl]))
-        return ad.neg(ad.reshape(ad.log(p), ()))
-    tags = np.asarray(label, dtype=np.int64)
-    if mask is None:
-        mask = np.ones(tags.shape, dtype=bool)
-    if tags.size and (tags[mask].min() < 0 or tags[mask].max() >= spec.num_classes):
-        raise DataError("tag index out of class range")
-    picked = ad.pick(predictions, np.where(mask, tags, 0))
-    nll = ad.neg(ad.log(picked))
-    return ad.reshape(ad.masked_mean_rows(ad.reshape(nll, (-1, 1)), mask), ())
+        y = np.asarray(labels, dtype=np.int64)
+        if y.min() < 0 or y.max() >= spec.num_classes:
+            raise DataError(f"label out of class range for task {spec.id}")
+        return ad.tmean(ad.cross_entropy(logits, y))
+    own = np.arange(logits.data.shape[1]) < np.array([len(y) for y in labels])[:, None]
+    tags = np.zeros(own.shape, dtype=np.int64)
+    tags[own] = np.concatenate(labels)
+    if tags.min() < 0 or tags.max() >= spec.num_classes:
+        raise DataError(f"tag index out of class range for task {spec.id}")
+    per_token = ad.reshape(ad.cross_entropy(logits, tags), own.shape + (1,))
+    return ad.tmean(ad.masked_mean_rows(per_token, own))
 
 
 # ---------------------------------------------------------------------------

@@ -78,13 +78,13 @@ def test_criterion_02_gradient_oracle():
             label = rng.integers(0, k, size=ids.size)
 
         def loss_value():
-            enc = model.encode(ids)
+            enc = model.encode(ids[None])
             return float(task_loss(spec, head_forward(enc, model.heads["t"]),
-                                   label).data)
+                                   [label]).data)
 
         model.zero_grads()
-        ad.backward(task_loss(spec, head_forward(model.encode(ids),
-                                                 model.heads["t"]), label))
+        ad.backward(task_loss(spec, head_forward(model.encode(ids[None]),
+                                                 model.heads["t"]), [label]))
         for name, p in model.all_params().items():
             g = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
             flat = p.data.reshape(-1)
@@ -312,7 +312,7 @@ def test_criterion_07_probe_contracts():
 
     for p in model.spals.params.values():
         p.data = np.zeros_like(p.data)
-    ids = np.array([4, 9, 17])
+    ids = np.array([[4, 9, 17]])
     frozen = MtlModel(model.backbone).encode(ids)
     forced = model.encode(ids, force_probe_w=1.0)
     for a, b in zip(frozen.per_layer_outputs, forced.per_layer_outputs):

@@ -30,8 +30,8 @@ def test_single_example_mean_is_that_example(tiny_model):
     model, _ = tiny_model
     ex = TaskExample(token_ids=np.array([4, 5, 6]), label=0)
     (summary,) = an.task_mean_representation(model, [ex], "t", layers=[2])
-    enc = model.encode(ex.token_ids)
-    pooled = enc.per_layer_outputs[1].data.mean(axis=0)
+    enc = model.encode(ex.token_ids[None])
+    pooled = enc.per_layer_outputs[1].data[0].mean(axis=0)
     assert summary.layer == 2
     assert np.max(np.abs(summary.vector - pooled)) < 1e-15
 
@@ -47,7 +47,7 @@ def test_mean_representation_matches_scalar_oracle(tiny_model):
     for summary in summaries:
         oracle = np.zeros(d)
         for ex in examples:
-            enc = model.encode(ex.token_ids)
+            enc = model.encode(ex.token_ids[None])
             rows = enc.per_layer_outputs[summary.layer - 1].data[enc.attention_mask]
             pooled = [sum(rows[i][j] for i in range(rows.shape[0])) / rows.shape[0]
                       for j in range(d)]
@@ -97,7 +97,7 @@ def test_rep_gen_at_layers_matches_manual():
     for layer in (1, 2):
         sums = []
         for tid in sorted(data):
-            pooled = [model.encode(ex.token_ids).pooled_mean(layer).data
+            pooled = [model.encode(ex.token_ids[None]).pooled_mean(layer).data[0]
                       for ex in data[tid].train]
             sums.append(an.RepSummary(tid, layer, np.mean(pooled, axis=0)))
         assert by_layer[layer] == pytest.approx(
@@ -107,15 +107,16 @@ def test_rep_gen_at_layers_matches_manual():
 def test_rep_gen_encodes_each_example_once(monkeypatch):
     data = two_task_suite()
     model = _build(data)
-    encode, calls = model.encode, []
+    encode, rows = model.encode, []
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return encode(*args, **kwargs)
+    def spy(ids, *args, **kwargs):
+        rows.extend(tuple(row[row != 0]) for row in ids)
+        return encode(ids, *args, **kwargs)
 
     monkeypatch.setattr(model, "encode", spy)
     by_layer = an.rep_gen_at_layers(model, data, [1, 2])
-    assert len(calls) == sum(len(data[tid].train) for tid in data)
+    examples = [tuple(ex.token_ids) for tid in data for ex in data[tid].train]
+    assert sorted(rows) == sorted(examples)
     for layer in (1, 2):
         one_layer = an.rep_gen_at_layers(model, data, [layer])
         assert one_layer[layer].hex() == by_layer[layer].hex()
@@ -176,10 +177,8 @@ def test_snapshot_equals_single_graph_mean_loss_gradient():
     from spalmtl.tasks import head_forward, task_loss
 
     # one graph over the whole split, one backward of the mean loss
-    losses = [task_loss(spec, head_forward(model.encode(ex.token_ids),
-                                           model.heads["alpha"]), ex.label)
-              for ex in examples]
-    ad.backward(ad.mean_of(losses))
+    logits = head_forward(model.encode_examples(examples), model.heads["alpha"])
+    ad.backward(task_loss(spec, logits, [ex.label for ex in examples]))
     ref = np.concatenate([p.grad.ravel() for p in model.shared_trainable_params()])
     model.zero_grads()
     assert np.linalg.norm(ref) > 0
@@ -221,9 +220,9 @@ def test_snapshot_matches_finite_differences_single_example():
     from spalmtl.tasks import head_forward, task_loss
 
     def loss_value():
-        enc = model.encode(ex.token_ids)
+        enc = model.encode_examples([ex])
         preds = head_forward(enc, model.heads["alpha"])
-        return float(task_loss(data["alpha"].spec, preds, ex.label).data)
+        return float(task_loss(data["alpha"].spec, preds, [ex.label]).data)
 
     # check one small trainable tensor end to end
     p = model.spals.params["spal.layer1.up"]
@@ -321,8 +320,8 @@ def test_forced_unit_weight_with_zero_spals_is_frozen_path():
     data = two_task_suite()
     model = _build(data, probe=True)
     ids = data["alpha"].train[0].token_ids
-    plain = MtlModel(model.backbone).encode(ids)
-    forced = model.encode(ids, force_probe_w=1.0)
+    plain = MtlModel(model.backbone).encode(ids[None])
+    forced = model.encode(ids[None], force_probe_w=1.0)
     for a, b in zip(plain.per_layer_outputs, forced.per_layer_outputs):
         assert np.array_equal(a.data, b.data)
 
@@ -343,8 +342,8 @@ def test_constant_loss_task_embedding_is_zero():
     from spalmtl.tasks import TaskSpec, Head, head_forward
     spec = TaskSpec(id="flat", kind="seq_regression", metric="rmse")
     model.heads["flat"] = Head(spec, TINY.model_dim, seed=0)
-    pred = float(head_forward(model.encode(ex.token_ids),
-                              model.heads["flat"]).data)
+    pred = float(head_forward(model.encode_examples([ex]),
+                              model.heads["flat"]).data[0])
     flat_ex = TaskExample(token_ids=ex.token_ids.copy(), label=pred)
     emb = an.task_embedding(model, spec, [flat_ex])
     assert np.array_equal(emb, np.zeros(model.shared_trainable_size()))
@@ -359,9 +358,9 @@ def test_task_embedding_matches_squared_finite_differences():
     from spalmtl.tasks import head_forward, task_loss
 
     def loss_value():
-        enc = model.encode(ex.token_ids)
+        enc = model.encode_examples([ex])
         preds = head_forward(enc, model.heads["alpha"])
-        return float(task_loss(data["alpha"].spec, preds, ex.label).data)
+        return float(task_loss(data["alpha"].spec, preds, [ex.label]).data)
 
     p = model.spals.params["spal.layer0.up"]
     at = 0
@@ -390,7 +389,7 @@ def test_text_embedding_single_example_and_self_cosine():
     model = _build(data)
     ex = data["alpha"].train[0]
     emb = an.text_embedding(model, [ex])
-    enc = model.encode(ex.token_ids)
+    enc = model.encode(ex.token_ids[None])
     pooled = enc.final().data[enc.attention_mask].mean(axis=0)
     assert np.array_equal(emb, pooled)
     assert an.cosine(emb, an.text_embedding(model, [ex])) == pytest.approx(1.0)
@@ -403,7 +402,7 @@ def test_text_embedding_two_example_oracle():
     emb = an.text_embedding(model, exs)
     oracle = np.zeros(TINY.model_dim)
     for ex in exs:
-        enc = model.encode(ex.token_ids)
+        enc = model.encode(ex.token_ids[None])
         rows = enc.final().data[enc.attention_mask]
         oracle += np.array([sum(rows[i][j] for i in range(rows.shape[0]))
                             / rows.shape[0] for j in range(TINY.model_dim)])
@@ -422,7 +421,7 @@ def test_embedding_similarity_matrix_labels_sorted():
 def test_no_graph_encoding_has_no_parents():
     data = two_task_suite()
     model = _build(data, probe=True)
-    ids = data["alpha"].train[0].token_ids
+    ids = data["alpha"].train[0].token_ids[None]
     assert model.encode(ids).final().requires_grad
     with ad.no_graph():
         enc = model.encode(ids)

@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from spalmtl import autodiff as ad
 from spalmtl.backbone import (BERT_BASE, BackboneConfig, backbone_param_count,
                               encode, init_backbone)
-from spalmtl.errors import ConfigError, DataError
+from spalmtl.errors import ConfigError, ContractError, DataError
+from spalmtl.model import MtlModel
+from spalmtl.tasks import TaskExample, TaskSpec, head_forward, task_loss
 
 from conftest import TINY
 
@@ -72,29 +75,36 @@ def test_freeze_flag_flips_all_params():
 
 def test_encode_shapes_and_layer_count(tiny_config):
     bb = init_backbone(tiny_config, seed=0)
-    ids = np.array([4, 5, 6, 0, 0])
-    enc = encode(ids, None, bb)
+    ids = np.array([[4, 5, 6, 0, 0], [7, 0, 0, 0, 0]])
+    enc = encode(ids, bb)
     assert len(enc.per_layer_outputs) == tiny_config.num_layers
-    assert enc.final().data.shape == (5, tiny_config.model_dim)
-    assert np.array_equal(enc.attention_mask, [True, True, True, False, False])
+    assert enc.final().data.shape == (2, 5, tiny_config.model_dim)
+    assert np.array_equal(enc.attention_mask, [[True, True, True, False, False],
+                                               [True, False, False, False, False]])
+
+
+def test_one_dimensional_ids_rejected(tiny_config):
+    bb = init_backbone(tiny_config, seed=0)
+    with pytest.raises(DataError, match="batch, seq"):
+        encode(np.array([4, 5, 6]), bb)
 
 
 def test_out_of_range_token_reports_position(tiny_config):
     bb = init_backbone(tiny_config, seed=0)
     with pytest.raises(DataError, match="position 2"):
-        encode(np.array([4, 5, 999]), None, bb)
+        encode(np.array([[4, 5, 6], [4, 5, 999]]), bb)
 
 
 def test_all_padding_rejected(tiny_config):
     bb = init_backbone(tiny_config, seed=0)
     with pytest.raises(DataError, match="empty"):
-        encode(np.array([0, 0, 0]), None, bb)
+        encode(np.array([[4, 5, 6], [0, 0, 0]]), bb)
 
 
 def test_too_long_sequence_rejected(tiny_config):
     bb = init_backbone(tiny_config, seed=0)
     with pytest.raises(DataError, match="exceeds"):
-        encode(np.full(tiny_config.max_seq_len + 1, 4), None, bb)
+        encode(np.full((1, tiny_config.max_seq_len + 1), 4), bb)
 
 
 def test_one_layer_one_head_matches_scalar_oracle():
@@ -102,7 +112,7 @@ def test_one_layer_one_head_matches_scalar_oracle():
                          vocab_size=16, max_seq_len=8)
     bb = init_backbone(cfg, seed=11)
     ids = np.array([4, 7])
-    enc = encode(ids, None, bb)
+    enc = encode(ids[None], bb)
 
     p = {k: v.data for k, v in bb.params.items()}
     x = p["backbone.word_emb"][ids] + p["backbone.pos_emb"][:2]
@@ -127,22 +137,92 @@ def test_one_layer_one_head_matches_scalar_oracle():
     oracle = _layer_norm_np(x + h, p["backbone.layer0.ln2.gain"],
                             p["backbone.layer0.ln2.bias"])
 
-    assert np.max(np.abs(enc.final().data - oracle)) < 1e-10
+    assert np.max(np.abs(enc.final().data[0] - oracle)) < 1e-10
 
 
 def test_padding_tokens_do_not_affect_content_positions(tiny_config):
     bb = init_backbone(tiny_config, seed=5)
-    short = encode(np.array([4, 5, 6]), None, bb)
-    padded = encode(np.array([4, 5, 6, 0, 0]), None, bb)
+    short = encode(np.array([[4, 5, 6]]), bb)
+    padded = encode(np.array([[4, 5, 6, 0, 0]]), bb)
     a = short.final().data
-    b = padded.final().data[:3]
+    b = padded.final().data[:, :3]
     assert np.max(np.abs(a - b)) < 1e-12
     assert np.max(np.abs(short.pooled_first().data
                          - padded.pooled_first().data)) < 1e-12
 
 
+_KINDS = {
+    "reg": TaskSpec(id="reg", kind="seq_regression", metric="rmse"),
+    "cls": TaskSpec(id="cls", kind="seq_classification", metric="accuracy",
+                    num_classes=3),
+    "tag": TaskSpec(id="tag", kind="token_classification", metric="token_accuracy",
+                    num_classes=3, tag_names=("O", "B-E0", "I-E0")),
+}
+
+
+def _mixed_length_examples(rng):
+    """Five examples of lengths 1 to 7, one with a leading and one with an
+    interior padding id, labelled for every task kind."""
+    ids = [np.array([9]), rng.integers(4, 128, 7), np.array([0, 5, 6, 7]),
+           rng.integers(4, 128, 3), np.array([8, 9, 0, 10, 11, 12])]
+    return [TaskExample(token_ids=t, label={
+        "reg": float(rng.uniform(-1, 1)), "cls": int(rng.integers(3)),
+        "tag": rng.integers(0, 3, t.size)}) for t in ids]
+
+
+def _rows(model, examples, kind):
+    """Per row: layer outputs at its own positions, pooled_first, pooled_mean
+    of each layer, logits at its own positions and its loss."""
+    enc = model.encode_examples(examples)
+    logits = head_forward(enc, model.heads[kind]).data
+    layers = range(1, len(enc.per_layer_outputs) + 1)
+    rows = []
+    for b, ex in enumerate(examples):
+        n = ex.token_ids.size
+        # the row's loss from its own (padded) logits alone
+        loss = task_loss(model.heads[kind].spec, ad.Tensor(logits[b:b + 1]), [ex.label[kind]])
+        rows.append([out.data[b, :n] for out in enc.per_layer_outputs]
+                    + [enc.pooled_first().data[b]]
+                    + [enc.pooled_mean(layer).data[b] for layer in layers]
+                    + [logits[b, :n] if kind == "tag" else logits[b], loss.data])
+    return rows
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_mixed_length_batch_matches_single_examples(kind):
+    model = MtlModel.build(TINY, list(_KINDS.values()), spal_hidden=4, seed=3,
+                           probe=True)
+    rng = np.random.default_rng(17)
+    for p in list(model.spals.params.values()) + list(model.probe.params.values()):
+        p.data = rng.normal(0.0, 0.3, p.data.shape)
+    examples = _mixed_length_examples(rng)
+    with ad.no_graph():
+        batched = _rows(model, examples, kind)
+        singles = [_rows(model, [ex], kind)[0] for ex in examples]
+        # four of the rows in another order and company, padded to length 6
+        order = [4, 3, 2, 0]
+        others = _rows(model, [examples[i] for i in order], kind)
+    for i, got in enumerate(batched):
+        for a, c in zip(got, singles[i]):
+            assert np.shape(a) == np.shape(c)
+            assert np.max(np.abs(a - c)) <= 1e-12
+    for i, got in zip(order, others):
+        for a, c in zip(got, singles[i]):
+            assert np.max(np.abs(a - c)) <= 1e-12
+
+
 def test_pooled_mean_over_non_padding(tiny_config):
     bb = init_backbone(tiny_config, seed=5)
-    enc = encode(np.array([4, 5, 0]), None, bb)
-    expected = enc.per_layer_outputs[0].data[:2].mean(axis=0)
+    enc = encode(np.array([[4, 5, 0], [0, 6, 7]]), bb)
+    expected = [enc.per_layer_outputs[0].data[0, :2].mean(axis=0),
+                enc.per_layer_outputs[0].data[1, 1:].mean(axis=0)]
     assert np.max(np.abs(enc.pooled_mean(1).data - expected)) < 1e-12
+    assert np.array_equal(enc.pooled_first().data,
+                          enc.final().data[[0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("layer", [0, 3])
+def test_pooled_mean_rejects_layer_outside_stack(tiny_config, layer):
+    enc = encode(np.array([[4, 5]]), init_backbone(tiny_config, seed=5))
+    with pytest.raises(ContractError, match="outside 1..2"):
+        enc.pooled_mean(layer)

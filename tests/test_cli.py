@@ -205,6 +205,27 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
     assert "error: spal_hidden" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"analysis": {"rep_gen": True, "layers": [0]}}, "analysis.layers"),
+    ({"analysis": {"rep_gen": True, "layers": [9]}}, "analysis.layers"),
+    ({"analysis": {"rep_gen": True, "snapshot_cadence": 0}}, "analysis.snapshot_cadence"),
+    ({"plan": {"epochs": "1", "eval_interval": 5, "seed": 1}}, "plan.epochs"),
+], ids=["layer0", "layer9", "cadence0", "epochs_str"])
+def test_invalid_run_config_is_cli_error(tmp_path, capsys, overrides, message):
+    path = _write_config(tmp_path, **overrides)
+    assert main(["train", "--config", str(path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--hidden", "x"), ("--seeds", "5-1")])
+def test_bad_sweep_list_is_cli_error(tmp_path, capsys, flag, value):
+    cfg = _write_config(tmp_path)
+    assert main(["sweep-capacity", "--config", str(cfg), flag, value,
+                 "--out", str(tmp_path / "sweep")]) == 1
+    assert f"error: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_capacity_emits_aggregates(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = tmp_path / "sweep"

@@ -45,9 +45,9 @@ def test_indivisible_hidden_rejected():
 def test_fresh_stack_is_additive_identity():
     bb = init_backbone(TINY, seed=2)
     spals = attach_spals(bb, SpalConfig(4, TINY.num_heads), seed=3)
-    ids = np.array([4, 9, 17])
-    plain = encode(ids, None, bb)
-    with_spal = encode(ids, None, bb, spals=spals)
+    ids = np.array([[4, 9, 17], [5, 0, 0]])
+    plain = encode(ids, bb)
+    with_spal = encode(ids, bb, spals=spals)
     for a, b in zip(plain.per_layer_outputs, with_spal.per_layer_outputs):
         assert np.array_equal(a.data, b.data)
 
@@ -89,8 +89,8 @@ def test_forward_matches_scalar_attention_oracle():
 
     from spalmtl.autodiff import Tensor
     x = rng.normal(size=(2, 4))
-    mask = np.array([True, True])
-    out = spals.forward(0, Tensor(x), mask).data
+    mask = np.array([[True, True]])
+    out = spals.forward(0, Tensor(x[None]), mask).data[0]
 
     p = {k: v.data for k, v in spals.params.items()}
     down = x @ p["spal.layer0.down"]

@@ -19,9 +19,10 @@ from conftest import fd_gradient, grads_close
 
 
 def _encoding(x: np.ndarray, mask=None) -> Encoding:
+    """A batch of one example whose final layer is x [T, d]."""
     if mask is None:
         mask = np.ones(x.shape[0], dtype=bool)
-    return Encoding([ad.Tensor(x)], np.asarray(mask, dtype=bool))
+    return Encoding([ad.Tensor(x[None])], np.asarray(mask, dtype=bool)[None])
 
 
 # -- spec validation --------------------------------------------------------
@@ -134,20 +135,21 @@ def test_zero_head_gives_uniform_classes():
     head = _head("seq_classification", 4)
     head.w.data[:] = 0.0
     out = head_forward(_encoding(np.ones((3, 4))), head)
-    assert np.allclose(out.data, 0.25, atol=1e-15)
+    assert np.allclose(ad.softmax_rows(out).data, 0.25, atol=1e-15)
 
 
-def test_token_probabilities_sum_to_one():
+def test_token_head_gives_per_token_logits():
     head = _head("token_classification", 3)
-    out = head_forward(_encoding(np.random.default_rng(0).normal(size=(5, 4))), head)
-    assert out.data.shape == (5, 3)
-    assert np.max(np.abs(out.data.sum(axis=-1) - 1.0)) < 1e-12
+    x = np.random.default_rng(0).normal(size=(5, 4))
+    out = head_forward(_encoding(x), head)
+    assert out.data.shape == (1, 5, 3)
+    assert np.max(np.abs(out.data[0] - (x @ head.w.data + head.b.data))) < 1e-12
 
 
 def test_classification_matches_affine_softmax_oracle():
     head = _head("seq_classification", 3, seed=4)
     x = np.random.default_rng(1).normal(size=(2, 4))
-    out = head_forward(_encoding(x), head).data
+    out = ad.softmax_rows(head_forward(_encoding(x), head)).data[0]
     logits = x[0] @ head.w.data + head.b.data
     exps = [math.exp(v - max(logits)) for v in logits]
     oracle = np.array(exps) / sum(exps)
@@ -158,8 +160,8 @@ def test_regression_head_is_affine_only():
     head = _head("seq_regression", 1)
     x = np.random.default_rng(2).normal(size=(2, 4))
     out = head_forward(_encoding(x), head)
-    assert out.data.shape == ()
-    assert float(out.data) == pytest.approx(
+    assert out.data.shape == (1,)
+    assert out.data[0] == pytest.approx(
         float((x[0] @ head.w.data + head.b.data)[0]), abs=1e-12)
 
 
@@ -167,7 +169,7 @@ def test_pooling_uses_first_non_padding_position():
     head = _head("seq_regression", 1)
     x = np.random.default_rng(3).normal(size=(3, 4))
     out = head_forward(_encoding(x, [False, True, True]), head)
-    assert float(out.data) == pytest.approx(
+    assert out.data[0] == pytest.approx(
         float((x[1] @ head.w.data + head.b.data)[0]), abs=1e-12)
 
 
@@ -175,7 +177,7 @@ def test_perfect_regression_loss_zero():
     head = _head("seq_regression", 1)
     enc = _encoding(np.ones((1, 4)))
     pred = head_forward(enc, head)
-    loss = task_loss(head.spec, pred, float(pred.data))
+    loss = task_loss(head.spec, pred, [pred.data[0]])
     assert float(loss.data) == 0.0
 
 
@@ -183,17 +185,45 @@ def test_uniform_classification_loss_is_ln_k():
     head = _head("seq_classification", 5)
     head.w.data[:] = 0.0
     pred = head_forward(_encoding(np.ones((2, 4))), head)
-    loss = task_loss(head.spec, pred, 3)
+    loss = task_loss(head.spec, pred, [3])
     assert float(loss.data) == pytest.approx(math.log(5), abs=1e-12)
 
 
 def test_token_loss_masks_padding():
     head = _head("token_classification", 3)
-    pred = head_forward(_encoding(np.ones((3, 4))), head)
-    mask = np.array([True, True, False])
-    loss = task_loss(head.spec, pred, np.array([0, 1, 2]), mask=mask)
-    per_tok = -np.log(pred.data[np.arange(3), [0, 1, 2]])
-    assert float(loss.data) == pytest.approx(per_tok[:2].mean(), abs=1e-12)
+    x = np.random.default_rng(5).normal(size=(3, 4))
+    pred = head_forward(_encoding(x), head)
+    # a two-tag example padded to three positions: the third is not counted
+    loss = task_loss(head.spec, pred, [np.array([0, 1])])
+    probs = ad.softmax_rows(pred).data[0]
+    per_tok = -np.log(probs[np.arange(2), [0, 1]])
+    assert float(loss.data) == pytest.approx(per_tok.mean(), abs=1e-12)
+
+
+def test_batch_loss_is_mean_of_example_losses():
+    head = _head("token_classification", 3, seed=2)
+    x = np.random.default_rng(6).normal(size=(2, 3, 4))
+    enc = Encoding([ad.Tensor(x)], np.ones((2, 3), dtype=bool))
+    labels = [np.array([2, 0, 1]), np.array([1])]
+    pred = head_forward(enc, head)
+    both = float(task_loss(head.spec, pred, labels).data)
+    each = [float(task_loss(head.spec, head_forward(_encoding(x[b, :n]), head),
+                            [labels[b]]).data) for b, n in ((0, 3), (1, 1))]
+    assert both == pytest.approx(sum(each) / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["seq_classification", "token_classification"])
+def test_large_logit_gap_gives_finite_loss_and_gradient(kind):
+    head = _head(kind, 3)
+    head.w.data[:] = 0.0
+    head.b.data[:] = [0.0, 1e4, 0.0]  # class 0 is 1e4 below the top logit
+    pred = head_forward(_encoding(np.ones((2, 4))), head)
+    label = 0 if kind == "seq_classification" else np.array([0, 0])
+    loss = task_loss(head.spec, pred, [label])
+    ad.backward(loss)
+    assert float(loss.data) == pytest.approx(1e4, rel=1e-12)
+    assert np.all(np.isfinite(head.w.grad)) and np.all(np.isfinite(head.b.grad))
+    assert head.b.grad == pytest.approx([-1.0, 1.0, 0.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("kind,num_classes,label", [
@@ -207,7 +237,7 @@ def test_loss_gradient_through_head(kind, num_classes, label):
 
     def forward():
         pred = head_forward(_encoding(x), head)
-        return task_loss(head.spec, pred, label)
+        return task_loss(head.spec, pred, [label])
 
     ad.backward(forward())
     for p in (head.w, head.b):
