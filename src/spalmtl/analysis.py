@@ -8,10 +8,11 @@ zeroed before returning).
 Diagnostics share training's batched forward (``MtlModel.encode_examples``).
 ``task_mean_representation`` encodes each example once, in no-graph padded
 batches of ``FORWARD_CHUNK``, and pools every requested layer; rep-gen and
-the text embedding use it. ``_backward_each`` encodes, differentiates and
-drops one example (a batch of one) at a time: the gradient snapshot sums
-the per-example gradients in the grad buffers and the task embedding
-squares each one, so one example's graph is alive at any moment.
+the text embedding use it. ``_mean_loss_gradient`` backpropagates a task's
+mean loss in chunks of at most ``spec.batch_size`` examples, so no graph is
+larger than a training step on that task: the gradient snapshot is one call
+over the split, the task embedding one call per example (its squares need
+per-example gradients).
 """
 
 from __future__ import annotations
@@ -106,39 +107,34 @@ def reported_layers(num_layers: int) -> list[int]:
 # gradient snapshots
 # ---------------------------------------------------------------------------
 
-def _flatten_shared_grads(model: MtlModel) -> np.ndarray:
-    parts = []
-    for p in model.shared_trainable_params():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        parts.append(g.ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def _backward_each(model: MtlModel, spec: TaskSpec, examples: list):
-    """Zero the gradients, then backpropagate each example's loss in turn,
-    yielding after each backward. One example's graph is built,
-    differentiated and dropped before the next is encoded; gradients
-    accumulate in the grad buffers until the caller zeroes them."""
+def _mean_loss_gradient(model: MtlModel, spec: TaskSpec, examples: list) -> np.ndarray:
+    """Gradient of the task's mean loss over the examples with respect to
+    the shared trainable params, flattened in name-sorted order. Each chunk
+    of at most ``spec.batch_size`` examples is one forward and backward (as
+    in ``engine.batch_loss``), its loss weighted by its share of the
+    examples; the grad buffers are zeroed before and after."""
     model.zero_grads()
-    for ex in examples:
-        logits = head_forward(model.encode_examples([ex]), model.heads[spec.id])
-        ad.backward(task_loss(spec, logits, [ex.label]))
-        yield
+    for start in range(0, len(examples), spec.batch_size):
+        chunk = examples[start:start + spec.batch_size]
+        logits = head_forward(model.encode_examples(chunk), model.heads[spec.id])
+        loss = task_loss(spec, logits, [ex.label for ex in chunk])
+        ad.backward(ad.scale(loss, len(chunk) / len(examples)))
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
+             for p in model.shared_trainable_params()]
+    vec = np.concatenate([g.ravel() for g in grads]) if grads else np.zeros(0)
+    model.zero_grads()
+    return vec
 
 
 def snapshot_task_gradient(model: MtlModel, spec: TaskSpec, examples: list,
                            step: int) -> GradientSnapshot:
     """Gradient of the task's mean loss over its full training split with
-    respect to shared trainable params, flattened in name-sorted order:
-    the per-example gradients summed in the grad buffers, over the count.
+    respect to shared trainable params, flattened in name-sorted order.
     No optimizer step happens; params are untouched."""
     if not examples:
         raise ContractError("snapshot_task_gradient needs a non-empty split")
-    for _ in _backward_each(model, spec, examples):
-        pass
-    vec = _flatten_shared_grads(model) / len(examples)
-    model.zero_grads()
-    return GradientSnapshot(task_id=spec.id, step=step, vector=vec)
+    return GradientSnapshot(task_id=spec.id, step=step,
+                            vector=_mean_loss_gradient(model, spec, examples))
 
 
 def gradient_similarity_matrix(snapshots: list[GradientSnapshot]) -> SimilarityMatrix:
@@ -204,16 +200,11 @@ def probe_contributions(model: MtlModel) -> list[float]:
 
 def task_embedding(model: MtlModel, spec: TaskSpec, examples: list) -> np.ndarray:
     """Diagonal empirical Fisher over shared trainable params: mean of the
-    squared per-example loss gradient, flattened canonically."""
+    squared per-example loss gradient, flattened canonically. Each example
+    is its own backward: a batch backward yields only the summed gradient."""
     if not examples:
         raise ContractError("task_embedding needs a non-empty dataset")
-    acc = None
-    for _ in _backward_each(model, spec, examples):
-        g = _flatten_shared_grads(model)
-        model.zero_grads()
-        sq = g * g
-        acc = sq if acc is None else acc + sq
-    return acc / len(examples)
+    return sum(_mean_loss_gradient(model, spec, [ex]) ** 2 for ex in examples) / len(examples)
 
 
 def text_embedding(model: MtlModel, examples: list) -> np.ndarray:

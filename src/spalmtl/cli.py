@@ -63,11 +63,11 @@ def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
                 model: MtlModel | None = None) -> tuple[RunRecord, MtlModel]:
     """Train one model under the config, collecting any configured
     diagnostics, and emit all artifacts to out_dir."""
+    plan = dataclasses.replace(cfg.plan, seed=seed)
     if data is None:
         data = cfg.build_data()
     if model is None:
         model = cfg.build_model(data, seed)
-    plan = dataclasses.replace(cfg.plan, seed=seed)
 
     cadence = cfg.analysis.snapshot_cadence
     layers = cfg.analysis.layers or an.reported_layers(cfg.backbone.num_layers)

@@ -42,6 +42,10 @@ class TrainPlan:
             raise ConfigError("eval_interval must be positive")
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
+        for name in ("seed", "base_lr", "warmup_steps", "weight_decay"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value!r}")
 
     def fingerprint(self) -> dict:
         """Plan identity minus the seed, for seed-aggregation checks."""

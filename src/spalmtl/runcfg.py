@@ -28,6 +28,9 @@ _JSONL_TASK_KEYS = {"id", "kind", "metric", "num_classes", "batch_size",
 _ANALYSIS_KEYS = {"rep_gen", "grad_snapshots", "embeddings", "snapshot_cadence",
                   "layers"}
 _PLAN_NUMBERS = {"temperature", "base_lr", "weight_decay"}  # the rest are integers
+_GEN_INTEGERS = {"vocab_size", "latent_dim", "bins", "seed"}
+_GEN_TASK_INTEGERS = {"num_classes", "batch_size"}
+_GEN_TASK_NUMBERS = {"relatedness", "weight"}
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
@@ -40,6 +43,13 @@ def _check_number(where: str, value, integer: bool = True) -> None:
     if type(value) is not int and (integer or type(value) is not float):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{where} must be {kind}, got {value!r}")
+
+
+def _check_int_list(where: str, value, length: int) -> None:
+    if not isinstance(value, list) or len(value) != length:
+        raise ConfigError(f"{where} must be a list of {length} integers, got {value!r}")
+    for v in value:
+        _check_number(where, v)
 
 
 @dataclass
@@ -95,15 +105,22 @@ def parse_generator(obj: dict) -> GeneratorSpec:
         raise ConfigError("data.generator.tasks must be a non-empty list")
     tasks = []
     for i, t in enumerate(obj["tasks"]):
-        _check_keys(t, _GEN_TASK_KEYS, f"data.generator.tasks[{i}]")
+        where = f"data.generator.tasks[{i}]"
+        _check_keys(t, _GEN_TASK_KEYS, where)
         if "id" not in t or "kind" not in t:
-            raise ConfigError(f"data.generator.tasks[{i}] needs 'id' and 'kind'")
+            raise ConfigError(f"{where} needs 'id' and 'kind'")
+        for k in sorted(t.keys() & (_GEN_TASK_INTEGERS | _GEN_TASK_NUMBERS)):
+            _check_number(f"{where}.{k}", t[k], integer=k in _GEN_TASK_INTEGERS)
         kwargs = dict(t)
         if "sizes" in kwargs:
+            _check_int_list(f"{where}.sizes", t["sizes"], 3)
             kwargs["sizes"] = tuple(kwargs["sizes"])
         tasks.append(SynthTaskSpec(**kwargs))
     kwargs = {k: v for k, v in obj.items() if k != "tasks"}
+    for k in sorted(kwargs.keys() & _GEN_INTEGERS):
+        _check_number(f"data.generator.{k}", kwargs[k])
     if "seq_len" in kwargs:
+        _check_int_list("data.generator.seq_len", kwargs["seq_len"], 2)
         kwargs["seq_len"] = tuple(kwargs["seq_len"])
     return GeneratorSpec(tasks=tuple(tasks), **kwargs)
 
@@ -120,6 +137,8 @@ def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:
             backbone = BackboneConfig(**bb)
         except TypeError as e:
             raise ConfigError(f"bad backbone config: {e}") from e
+        for k, v in bb.items():
+            _check_number(f"backbone.{k}", v)
         backbone.validate()
     else:
         raise ConfigError("backbone must be a preset name or a config object")
@@ -149,6 +168,9 @@ def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:
     elif "jsonl" in data_obj:
         for i, t in enumerate(data_obj["jsonl"]):
             _check_keys(t, _JSONL_TASK_KEYS, f"data.jsonl[{i}]")
+            missing = [k for k in ("id", "kind", "metric") if k not in t]
+            if missing:
+                raise ConfigError(f"data.jsonl[{i}] needs {missing}")
             jsonl_tasks.append(t)
     else:
         raise ConfigError("data section needs 'generator' or 'jsonl'")

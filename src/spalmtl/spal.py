@@ -55,10 +55,6 @@ class SpalStack:
             p[f"{pre}.v"], None, p[f"{pre}.o"], None)
         return ad.matmul(attn, p[f"{pre}.up"])
 
-    def set_trainable(self, trainable: bool) -> None:
-        for p in self.params.values():
-            p.trainable = trainable
-
 
 def attach_spals(backbone: Backbone, config: SpalConfig, seed: int) -> SpalStack:
     """Build one SPAL per backbone layer, all trainable.

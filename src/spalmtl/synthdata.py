@@ -63,6 +63,8 @@ class GeneratorSpec:
                 f"vocab_size {self.vocab_size} too small; need >= {need}")
         if self.seq_len[0] < self.latent_dim + 2 or self.seq_len[1] < self.seq_len[0]:
             raise ConfigError("invalid seq_len range")
+        if self.seed < 0:
+            raise ConfigError(f"generator seed must be non-negative, got {self.seed}")
 
 
 def _entity_labels(num_classes: int) -> int:

@@ -168,10 +168,11 @@ def test_snapshot_is_deterministic():
     assert np.array_equal(s1.vector, s2.vector)
 
 
-def test_snapshot_equals_single_graph_mean_loss_gradient():
-    data = two_task_suite()
+@pytest.mark.parametrize("n", [10, 3], ids=["10_at_batch_4", "3_at_batch_4"])
+def test_snapshot_equals_single_graph_mean_loss_gradient(n):
+    data = two_task_suite(batch_size=4)
     model = _build(data)
-    spec, examples = data["alpha"].spec, data["alpha"].train
+    spec, examples = data["alpha"].spec, data["alpha"].train[:n]
     snap = an.snapshot_task_gradient(model, spec, examples, 0)
 
     from spalmtl.tasks import head_forward, task_loss
@@ -186,16 +187,24 @@ def test_snapshot_equals_single_graph_mean_loss_gradient():
 
 
 @pytest.mark.parametrize("diagnostic", ["snapshot", "task_embedding"])
-def test_gradient_diagnostics_hold_one_example_graph(monkeypatch, diagnostic):
-    data = two_task_suite()
+def test_gradient_diagnostics_backpropagate_training_sized_chunks(monkeypatch, diagnostic):
+    """Encodes and backward passes alternate. A snapshot encodes batches of
+    at most ``batch_size`` rows that cover the split once; the task
+    embedding encodes one example per backward. No gradient is left over."""
+    data = two_task_suite(batch_size=4)
     model = _build(data)
-    spec, examples = data["alpha"].spec, data["alpha"].train
-    calls = []
+    spec, examples = data["alpha"].spec, data["alpha"].train[:10]
+    pad = model.backbone.config.padding_token_id
+    calls, rows = [], []
     encode, backward = model.encode, ad.backward
 
-    def spy_encode(*args, **kwargs):
+    def unpadded(ids):
+        return tuple(int(t) for t in ids if t != pad)
+
+    def spy_encode(token_ids, *args, **kwargs):
         calls.append("encode")
-        return encode(*args, **kwargs)
+        rows.append([unpadded(r) for r in token_ids])
+        return encode(token_ids, *args, **kwargs)
 
     def spy_backward(loss):
         calls.append("backward")
@@ -205,9 +214,15 @@ def test_gradient_diagnostics_hold_one_example_graph(monkeypatch, diagnostic):
     monkeypatch.setattr(ad, "backward", spy_backward)
     if diagnostic == "snapshot":
         an.snapshot_task_gradient(model, spec, examples, 0)
+        assert all(len(r) <= spec.batch_size for r in rows)
+        assert len(rows) == -(-len(examples) // spec.batch_size)
     else:
         an.task_embedding(model, spec, examples)
-    assert calls == ["encode", "backward"] * len(examples)
+        assert all(len(r) == 1 for r in rows)
+        assert len(rows) == len(examples)
+    assert calls == ["encode", "backward"] * len(rows)
+    encoded = sorted(r for chunk in rows for r in chunk)
+    assert encoded == sorted(unpadded(ex.token_ids) for ex in examples)
     assert all(p.grad is None for p in model.all_params().values())
 
 

@@ -38,6 +38,20 @@ def _config(**overrides):
     return cfg
 
 
+def _generator(task=True, **fields):
+    """A data section whose generator (or its first task) has these fields."""
+    gen = json.loads(json.dumps(GENERATOR))
+    (gen["tasks"][0] if task else gen).update(fields)
+    return {"data": {"generator": gen}}
+
+
+def _jsonl_without(key):
+    task = {"id": "j", "kind": "seq_classification", "metric": "accuracy",
+            "num_classes": 2}
+    del task[key]
+    return {"data": {"jsonl": [task]}}
+
+
 def _write_config(tmp_path, name="run.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(_config(**overrides)))
@@ -210,11 +224,41 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
     ({"analysis": {"rep_gen": True, "layers": [9]}}, "analysis.layers"),
     ({"analysis": {"rep_gen": True, "snapshot_cadence": 0}}, "analysis.snapshot_cadence"),
     ({"plan": {"epochs": "1", "eval_interval": 5, "seed": 1}}, "plan.epochs"),
-], ids=["layer0", "layer9", "cadence0", "epochs_str"])
+    ({"plan": {"epochs": 1, "seed": -1}}, "seed must be non-negative"),
+    ({"plan": {"epochs": 1, "warmup_steps": -5}}, "warmup_steps must be non-negative"),
+    ({"plan": {"epochs": 1, "base_lr": -1e-3}}, "base_lr must be non-negative"),
+    ({"plan": {"epochs": 1, "weight_decay": -0.01}}, "weight_decay must be non-negative"),
+    (_generator(sizes=[8, 4]), "data.generator.tasks[0].sizes"),
+    (_generator(sizes=[8, 4, 4.0]), "data.generator.tasks[0].sizes"),
+    (_generator(relatedness="x"), "data.generator.tasks[0].relatedness"),
+    (_generator(batch_size="4"), "data.generator.tasks[0].batch_size"),
+    (_generator(num_classes=2.0), "data.generator.tasks[0].num_classes"),
+    (_generator(seq_len=[8], task=False), "data.generator.seq_len"),
+    (_generator(vocab_size="96", task=False), "data.generator.vocab_size"),
+    (_generator(latent_dim=3.0, task=False), "data.generator.latent_dim"),
+    (_generator(bins="6", task=False), "data.generator.bins"),
+    (_generator(seed="0", task=False), "data.generator.seed"),
+    (_generator(seed=-3, task=False), "generator seed must be non-negative"),
+    ({"backbone": dict(BACKBONE, num_layers="2")}, "backbone.num_layers"),
+    (_jsonl_without("id"), "data.jsonl[0] needs ['id']"),
+    (_jsonl_without("kind"), "data.jsonl[0] needs ['kind']"),
+    (_jsonl_without("metric"), "data.jsonl[0] needs ['metric']"),
+], ids=["layer0", "layer9", "cadence0", "epochs_str", "seed_negative",
+        "warmup_negative", "lr_negative", "decay_negative", "sizes_short",
+        "sizes_float", "relatedness_str", "batch_size_str", "num_classes_float",
+        "seq_len_short", "vocab_size_str", "latent_dim_float", "bins_str",
+        "gen_seed_str", "gen_seed_negative", "backbone_str", "jsonl_no_id",
+        "jsonl_no_kind", "jsonl_no_metric"])
 def test_invalid_run_config_is_cli_error(tmp_path, capsys, overrides, message):
     path = _write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_cli_error(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    assert main(["train", "--config", str(path), "--seed", "-2"]) == 1
+    assert "error: seed must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [("--hidden", "x"), ("--seeds", "5-1")])
