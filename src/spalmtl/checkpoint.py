@@ -22,17 +22,18 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from typing import BinaryIO
 
 import numpy as np
 
 from .backbone import BackboneConfig
 from .errors import (CheckpointDigestError, CheckpointFormatError,
-                     CheckpointTruncatedError, CheckpointVersionError)
+                     CheckpointTruncatedError, CheckpointVersionError, ConfigError)
 from .model import MtlModel
 from .optim import OptimizerState
-from .tasks import task_spec_from_dict, task_spec_to_dict
+from .runcfg import from_json
+from .tasks import TaskSpec
 
 MAGIC = b"SPAL"
 VERSION = 1
@@ -43,14 +44,22 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+@dataclass(frozen=True)
+class ModelConfig:
+    """The header's "config" entry: all that rebuilding the model needs."""
+
+    backbone: BackboneConfig
+    spal_hidden: int | None
+    probe: bool
+    tasks: tuple[TaskSpec, ...]
+
+
 def model_config(model: MtlModel) -> dict:
-    return {
-        "backbone": asdict(model.backbone.config),
-        "spal_hidden": None if model.spals is None else model.spals.config.hidden_size,
-        "probe": model.probe is not None,
-        "tasks": [task_spec_to_dict(h.spec) for h in
-                  sorted(model.heads.values(), key=lambda h: h.spec.id)],
-    }
+    return asdict(ModelConfig(
+        backbone=model.backbone.config,
+        spal_hidden=None if model.spals is None else model.spals.config.hidden_size,
+        probe=model.probe is not None,
+        tasks=tuple(sorted((h.spec for h in model.heads.values()), key=lambda s: s.id))))
 
 
 def _read(f: BinaryIO, n: int) -> bytes:
@@ -141,6 +150,7 @@ def load_checkpoint(path, expected_config: dict | None = None
 
         model = _build_from_config(config)
         params = model.all_params()
+        seen: set[str] = set()
         (n_tensors,) = struct.unpack("<I", _read(f, 4))
         for _ in range(n_tensors):
             (nlen,) = struct.unpack("<H", _read(f, 2))
@@ -149,12 +159,18 @@ def load_checkpoint(path, expected_config: dict | None = None
             arr = _read_array(f)
             if name not in params:
                 raise CheckpointFormatError(f"unknown tensor {name!r} in checkpoint")
+            if name in seen:
+                raise CheckpointFormatError(f"tensor {name!r} appears twice in checkpoint")
+            seen.add(name)
             p = params[name]
             if p.data.shape != arr.shape:
                 raise CheckpointFormatError(
                     f"tensor {name!r} shape {arr.shape} != expected {p.data.shape}")
             p.data = arr
             p.trainable = bool(trainable)
+        missing = sorted(set(params) - seen)
+        if missing:
+            raise CheckpointFormatError(f"checkpoint lacks tensor(s) {missing}")
 
         (has_opt,) = struct.unpack("<B", _read(f, 1))
         optimizer = None
@@ -177,8 +193,9 @@ def load_checkpoint(path, expected_config: dict | None = None
 
 
 def _build_from_config(config: dict) -> MtlModel:
-    backbone_config = BackboneConfig(**config["backbone"])
-    specs = [task_spec_from_dict(d) for d in config["tasks"]]
-    return MtlModel.build(
-        backbone_config, specs, spal_hidden=config.get("spal_hidden"),
-        seed=0, freeze_backbone=False, probe=bool(config.get("probe")))
+    try:
+        mc = from_json(ModelConfig, config, "checkpoint config")
+        return MtlModel.build(mc.backbone, list(mc.tasks), spal_hidden=mc.spal_hidden,
+                              seed=0, freeze_backbone=False, probe=mc.probe)
+    except ConfigError as e:
+        raise CheckpointFormatError(str(e)) from e

@@ -17,8 +17,8 @@ from .engine import (RunRecord, TrainPlan, aggregate_seeds, evaluate_task,
 from .errors import ConfigError, SpalMtlError
 from .model import MtlModel
 from .reporting import emit_metrics, write_aggregate_json
-from .runcfg import RunConfig, load_run_config, parse_generator
-from .synthdata import gen_synthetic_suite
+from .runcfg import RunConfig, from_json, load_run_config, read_json
+from .synthdata import GeneratorSpec, gen_synthetic_suite
 from .tasks import TaskData
 
 DEFAULT_SWEEP_HIDDEN = (12, 60, 204, 408, 816)
@@ -124,9 +124,7 @@ def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    spec_obj = json.loads(Path(args.config).read_text())
-    gen = parse_generator(spec_obj)
-    data = gen_synthetic_suite(gen)
+    data = gen_synthetic_suite(from_json(GeneratorSpec, read_json(args.config), "generator"))
     out = Path(args.out)
     for tid, td in sorted(data.items()):
         for split in ("train", "dev", "test"):

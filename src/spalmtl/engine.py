@@ -46,6 +46,9 @@ class TrainPlan:
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value!r}")
+        if self.warmup_steps >= 2**32:  # checkpoints store it as a u32
+            raise ConfigError(
+                f"warmup_steps must be below 2**32, got {self.warmup_steps}")
 
     def fingerprint(self) -> dict:
         """Plan identity minus the seed, for seed-aggregation checks."""

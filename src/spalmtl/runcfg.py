@@ -1,9 +1,16 @@
-"""Run configuration: strict JSON parsing plus builders for data, model and
-plan. Unknown keys are hard errors; silent typos corrupt experiments."""
+"""Run configuration: strict JSON reading plus builders for data, model and
+plan. Every config object is read through its dataclass by `from_json`, so
+each section accepts exactly its dataclass's fields, at their annotated
+types, and the dataclass checks ranges. Unknown keys are hard errors; silent
+typos corrupt experiments. Generator specs and checkpoint headers are read
+the same way."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -12,44 +19,73 @@ from .dataio import load_jsonl_dataset
 from .engine import TrainPlan
 from .errors import ConfigError
 from .model import MtlModel
-from .synthdata import GeneratorSpec, SynthTaskSpec, gen_synthetic_suite
-from .tasks import TaskData, TaskSpec, task_spec_from_dict
+from .synthdata import GeneratorSpec, gen_synthetic_suite
+from .tasks import TaskData, TaskSpec
 
 _TOP_KEYS = {"backbone", "spal_hidden", "freeze_backbone", "probe", "plan",
              "data", "analysis", "out_dir"}
-_PLAN_KEYS = {"epochs", "eval_interval", "seed", "temperature", "base_lr",
-              "warmup_steps", "weight_decay"}
 _DATA_KEYS = {"generator", "jsonl"}
-_GEN_KEYS = {"tasks", "vocab_size", "seq_len", "latent_dim", "bins", "seed"}
-_GEN_TASK_KEYS = {"id", "kind", "sizes", "relatedness", "num_classes",
-                  "batch_size", "weight", "metric"}
-_JSONL_TASK_KEYS = {"id", "kind", "metric", "num_classes", "batch_size",
-                    "weight", "tag_names", "train", "dev", "test", "marker"}
-_ANALYSIS_KEYS = {"rep_gen", "grad_snapshots", "embeddings", "snapshot_cadence",
-                  "layers"}
-_PLAN_NUMBERS = {"temperature", "base_lr", "weight_decay"}  # the rest are integers
-_GEN_INTEGERS = {"vocab_size", "latent_dim", "bins", "seed"}
-_GEN_TASK_INTEGERS = {"num_classes", "batch_size"}
-_GEN_TASK_NUMBERS = {"relatedness", "weight"}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string"}
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
+def _check_keys(obj, allowed, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _check_number(where: str, value, integer: bool = True) -> None:
-    if type(value) is not int and (integer or type(value) is not float):
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+def _read_value(value, hint, where: str):
+    """`value` checked against the annotation `hint`. No number is converted:
+    JSON lists become tuples where the hint is a tuple, and objects become
+    the dataclass the hint names."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _read_value(value, hint, where)
+    if dataclasses.is_dataclass(hint):
+        return from_json(hint, value, where)
+    if origin in (list, tuple):
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        if not isinstance(value, list) or (fixed and len(value) != len(args)):
+            size = f" of {len(args)} items" if fixed else ""
+            raise ConfigError(f"{where} must be a list{size}, got {value!r}")
+        items = [_read_value(v, args[i] if fixed else args[0], f"{where}[{i}]")
+                 for i, v in enumerate(value)]
+        return items if origin is list else tuple(items)
+    if type(value) is hint or (hint is float and type(value) is int):
+        return value
+    raise ConfigError(f"{where} must be {_TYPE_NAMES[hint]}, got {value!r}")
 
 
-def _check_int_list(where: str, value, length: int) -> None:
-    if not isinstance(value, list) or len(value) != length:
-        raise ConfigError(f"{where} must be a list of {length} integers, got {value!r}")
-    for v in value:
-        _check_number(where, v)
+def from_json(cls, obj, where: str, **given):
+    """The dataclass `cls` built from the JSON object `obj`, which holds
+    exactly the fields of `cls` other than those in `given`, each at its
+    annotated type. `where` names `obj` in error messages."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    _check_keys(obj, [f.name for f in fields], where)
+    missing = [f.name for f in fields if f.name not in obj
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{where} needs {missing}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: _read_value(obj[f.name], hints[f.name], f"{where}.{f.name}")
+                  for f in fields if f.name in obj}, **given)
+
+
+def read_json(path):
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: invalid JSON: {e}") from e
 
 
 @dataclass
@@ -61,16 +97,31 @@ class AnalysisConfig:
     layers: list[int] | None = None
 
 
+@dataclass(frozen=True)
+class JsonlTask(TaskSpec):
+    """One `data.jsonl` entry: a task spec plus its split files (relative
+    to the config) and the target-marker kind inserted on load."""
+
+    train: str | None = None
+    dev: str | None = None
+    test: str | None = None
+    marker: str | None = None
+
+    def spec(self) -> TaskSpec:
+        return TaskSpec(**{f.name: getattr(self, f.name)
+                           for f in dataclasses.fields(TaskSpec)})
+
+
 @dataclass
 class RunConfig:
     backbone: BackboneConfig
-    spal_hidden: int | None
-    probe: bool
     plan: TrainPlan
     generator: GeneratorSpec | None
-    jsonl_tasks: list[dict]
+    jsonl_tasks: list[JsonlTask]
     analysis: AnalysisConfig
-    out_dir: str | None
+    spal_hidden: int | None = None
+    probe: bool = False
+    out_dir: str | None = None
     base_dir: Path = field(default_factory=Path)
 
     def build_data(self) -> dict[str, TaskData]:
@@ -78,51 +129,20 @@ class RunConfig:
             return gen_synthetic_suite(self.generator)
         out: dict[str, TaskData] = {}
         for t in self.jsonl_tasks:
-            spec = task_spec_from_dict(t)
-            marker = t.get("marker")
+            spec = t.spec()
             splits = {}
             for name in ("train", "dev", "test"):
-                if t.get(name):
-                    splits[name] = load_jsonl_dataset(
-                        self.base_dir / t[name], spec, marker_kind=marker)
-                else:
-                    splits[name] = []
+                path = getattr(t, name)
+                splits[name] = load_jsonl_dataset(
+                    self.base_dir / path, spec, marker_kind=t.marker) if path else []
             out[spec.id] = TaskData(spec=spec, **splits)
         return out
 
-    def task_specs(self, data: dict[str, TaskData]) -> list[TaskSpec]:
-        return [data[tid].spec for tid in sorted(data)]
-
     def build_model(self, data: dict[str, TaskData], seed: int) -> MtlModel:
         return MtlModel.build(
-            self.backbone, self.task_specs(data), spal_hidden=self.spal_hidden,
-            seed=seed, freeze_backbone=self.plan.freeze_backbone, probe=self.probe)
-
-
-def parse_generator(obj: dict) -> GeneratorSpec:
-    _check_keys(obj, _GEN_KEYS, "data.generator")
-    if "tasks" not in obj or not obj["tasks"]:
-        raise ConfigError("data.generator.tasks must be a non-empty list")
-    tasks = []
-    for i, t in enumerate(obj["tasks"]):
-        where = f"data.generator.tasks[{i}]"
-        _check_keys(t, _GEN_TASK_KEYS, where)
-        if "id" not in t or "kind" not in t:
-            raise ConfigError(f"{where} needs 'id' and 'kind'")
-        for k in sorted(t.keys() & (_GEN_TASK_INTEGERS | _GEN_TASK_NUMBERS)):
-            _check_number(f"{where}.{k}", t[k], integer=k in _GEN_TASK_INTEGERS)
-        kwargs = dict(t)
-        if "sizes" in kwargs:
-            _check_int_list(f"{where}.sizes", t["sizes"], 3)
-            kwargs["sizes"] = tuple(kwargs["sizes"])
-        tasks.append(SynthTaskSpec(**kwargs))
-    kwargs = {k: v for k, v in obj.items() if k != "tasks"}
-    for k in sorted(kwargs.keys() & _GEN_INTEGERS):
-        _check_number(f"data.generator.{k}", kwargs[k])
-    if "seq_len" in kwargs:
-        _check_int_list("data.generator.seq_len", kwargs["seq_len"], 2)
-        kwargs["seq_len"] = tuple(kwargs["seq_len"])
-    return GeneratorSpec(tasks=tuple(tasks), **kwargs)
+            self.backbone, [data[tid].spec for tid in sorted(data)],
+            spal_hidden=self.spal_hidden, seed=seed,
+            freeze_backbone=self.plan.freeze_backbone, probe=self.probe)
 
 
 def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:
@@ -132,75 +152,42 @@ def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:
         if bb not in PRESETS:
             raise ConfigError(f"unknown backbone preset {bb!r}")
         backbone = PRESETS[bb]
-    elif isinstance(bb, dict):
-        try:
-            backbone = BackboneConfig(**bb)
-        except TypeError as e:
-            raise ConfigError(f"bad backbone config: {e}") from e
-        for k, v in bb.items():
-            _check_number(f"backbone.{k}", v)
-        backbone.validate()
     else:
-        raise ConfigError("backbone must be a preset name or a config object")
-
-    flags = {"freeze_backbone": obj.get("freeze_backbone", True),
-             "probe": obj.get("probe", False)}
-    for k, v in flags.items():
-        if not isinstance(v, bool):
-            raise ConfigError(f"{k} must be true or false, got {v!r}")
+        backbone = from_json(BackboneConfig, bb, "backbone")
+        backbone.validate()
 
     # The plan alone decides whether the backbone trains: run_training
     # re-applies it, and run.json records it.
-    plan_obj = obj.get("plan", {})
-    _check_keys(plan_obj, _PLAN_KEYS, "plan")
-    for k, v in plan_obj.items():
-        _check_number(f"plan.{k}", v, integer=k not in _PLAN_NUMBERS)
-    plan = TrainPlan(**plan_obj, freeze_backbone=flags["freeze_backbone"])
+    freeze = _read_value(obj.get("freeze_backbone", True), bool, "freeze_backbone")
+    plan = from_json(TrainPlan, obj.get("plan", {}), "plan", freeze_backbone=freeze)
 
     data_obj = obj.get("data")
     if not data_obj:
         raise ConfigError("run config needs a 'data' section")
     _check_keys(data_obj, _DATA_KEYS, "data")
     generator = None
-    jsonl_tasks: list[dict] = []
+    jsonl_tasks: list[JsonlTask] = []
     if "generator" in data_obj:
-        generator = parse_generator(data_obj["generator"])
+        generator = from_json(GeneratorSpec, data_obj["generator"], "data.generator")
     elif "jsonl" in data_obj:
-        for i, t in enumerate(data_obj["jsonl"]):
-            _check_keys(t, _JSONL_TASK_KEYS, f"data.jsonl[{i}]")
-            missing = [k for k in ("id", "kind", "metric") if k not in t]
-            if missing:
-                raise ConfigError(f"data.jsonl[{i}] needs {missing}")
-            jsonl_tasks.append(t)
-    else:
-        raise ConfigError("data section needs 'generator' or 'jsonl'")
+        jsonl_tasks = _read_value(data_obj["jsonl"], list[JsonlTask], "data.jsonl")
+    if generator is None and not jsonl_tasks:
+        raise ConfigError("data section needs 'generator' or a non-empty 'jsonl'")
 
-    an_obj = obj.get("analysis", {})
-    _check_keys(an_obj, _ANALYSIS_KEYS, "analysis")
-    analysis = AnalysisConfig(**an_obj)
-    _check_number("analysis.snapshot_cadence", analysis.snapshot_cadence)
+    analysis = from_json(AnalysisConfig, obj.get("analysis", {}), "analysis")
     if analysis.snapshot_cadence <= 0:
         raise ConfigError("analysis.snapshot_cadence must be positive")
     layers, num_layers = analysis.layers, backbone.num_layers
-    if layers is not None and not (isinstance(layers, list) and all(
-            type(x) is int and 1 <= x <= num_layers for x in layers)):
+    if layers is not None and not all(1 <= x <= num_layers for x in layers):
         raise ConfigError(f"analysis.layers must be in 1..{num_layers}, got {layers!r}")
 
-    spal_hidden = obj.get("spal_hidden")
-    if spal_hidden is not None:
-        _check_number("spal_hidden", spal_hidden)
-    return RunConfig(
-        backbone=backbone, spal_hidden=spal_hidden, probe=flags["probe"], plan=plan,
-        generator=generator, jsonl_tasks=jsonl_tasks, analysis=analysis,
-        out_dir=obj.get("out_dir"), base_dir=base_dir)
+    hints = typing.get_type_hints(RunConfig)
+    top = {k: _read_value(obj[k], hints[k], k)
+           for k in ("spal_hidden", "probe", "out_dir") if k in obj}
+    return RunConfig(backbone=backbone, plan=plan, generator=generator,
+                     jsonl_tasks=jsonl_tasks, analysis=analysis,
+                     base_dir=base_dir, **top)
 
 
 def load_run_config(path) -> RunConfig:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    return parse_run_config(obj, base_dir=path.parent)
+    return parse_run_config(read_json(path), base_dir=Path(path).parent)

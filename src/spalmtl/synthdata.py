@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError
-from .tasks import (FIRST_CONTENT_ID, TaskData, TaskExample, TaskSpec,
+from .tasks import (FIRST_CONTENT_ID, KINDS, TaskData, TaskExample, TaskSpec,
                     spans_to_bio, validate_example)
 
 ENTITY_TOKEN_RANGE = 4  # vocab ids reserved per entity label for span tokens
@@ -35,6 +35,8 @@ class SynthTaskSpec:
     metric: str = ""
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown task kind {self.kind!r}")
         if not 0.0 <= self.relatedness <= 1.0:
             raise ConfigError(f"relatedness must be in [0, 1], got {self.relatedness}")
         if any(s <= 0 for s in self.sizes):
@@ -57,6 +59,8 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.tasks:
+            raise ConfigError("a generator needs at least one task")
         need = FIRST_CONTENT_ID + self.latent_dim * self.bins + 8
         if self.vocab_size < need:
             raise ConfigError(

@@ -287,22 +287,6 @@ def task_metric(spec: TaskSpec, predictions: list, labels: list) -> float:
     return 100.0 * entity_macro_f1(gold_seqs, pred_seqs)
 
 
-def task_spec_to_dict(spec: TaskSpec) -> dict:
-    return {
-        "id": spec.id, "kind": spec.kind, "metric": spec.metric,
-        "num_classes": spec.num_classes, "batch_size": spec.batch_size,
-        "weight": spec.weight, "tag_names": list(spec.tag_names),
-    }
-
-
-def task_spec_from_dict(d: dict) -> TaskSpec:
-    return TaskSpec(id=d["id"], kind=d["kind"], metric=d["metric"],
-                    num_classes=d.get("num_classes", 1),
-                    batch_size=d.get("batch_size", 16),
-                    weight=d.get("weight", 1.0),
-                    tag_names=tuple(d.get("tag_names", ())))
-
-
 @dataclass
 class TaskData:
     """One task's spec plus its train/dev/test splits."""

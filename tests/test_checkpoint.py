@@ -139,6 +139,39 @@ def test_tampered_header_fails_digest(tmp_path):
         load_checkpoint(path)
 
 
+def _tensor_records(raw: bytes) -> tuple[int, dict]:
+    """Offset of the tensor count, and each tensor record's byte span by name."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    count_at = 12 + hlen
+    (n,) = struct.unpack("<I", raw[count_at:count_at + 4])
+    pos, spans = count_at + 4, {}
+    for _ in range(n):
+        start = pos
+        (nlen,) = struct.unpack("<H", raw[pos:pos + 2])
+        name = raw[pos + 2:pos + 2 + nlen].decode()
+        pos += 2 + nlen + 1
+        ndim = raw[pos]
+        shape = struct.unpack(f"<{ndim}I", raw[pos + 1:pos + 1 + 4 * ndim])
+        pos += 1 + 4 * ndim + 8 * int(np.prod(shape))
+        spans[name] = (start, pos)
+    return count_at, spans
+
+
+@pytest.mark.parametrize("copies,message", [(0, "lacks"), (2, "twice")])
+def test_each_param_stored_exactly_once(tmp_path, copies, message):
+    model = _random_model(11)
+    path = tmp_path / "m.spal"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    count_at, spans = _tensor_records(raw)
+    start, end = spans["spal.layer0.up"]
+    count = struct.pack("<I", len(spans) - 1 + copies)
+    path.write_bytes(raw[:count_at] + count + raw[count_at + 4:start]
+                     + raw[start:end] * copies + raw[end:])
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+
+
 def test_truncated_file_rejected(tmp_path):
     model = _random_model(9)
     path = tmp_path / "m.spal"

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from spalmtl.checkpoint import load_checkpoint
+from spalmtl.checkpoint import config_digest, load_checkpoint
 from spalmtl.cli import main
 from spalmtl.engine import run_training
 from spalmtl.errors import ConfigError
@@ -45,11 +45,16 @@ def _generator(task=True, **fields):
     return {"data": {"generator": gen}}
 
 
-def _jsonl_without(key):
-    task = {"id": "j", "kind": "seq_classification", "metric": "accuracy",
-            "num_classes": 2}
-    del task[key]
+JSONL_TASK = {"id": "j", "kind": "seq_classification", "metric": "accuracy",
+              "num_classes": 2}
+
+
+def _jsonl(task):
     return {"data": {"jsonl": [task]}}
+
+
+def _jsonl_without(key):
+    return _jsonl({k: v for k, v in JSONL_TASK.items() if k != key})
 
 
 def _write_config(tmp_path, name="run.json", **overrides):
@@ -243,16 +248,44 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
     (_jsonl_without("id"), "data.jsonl[0] needs ['id']"),
     (_jsonl_without("kind"), "data.jsonl[0] needs ['kind']"),
     (_jsonl_without("metric"), "data.jsonl[0] needs ['metric']"),
+    ({"plan": {"epochs": 1, "warmup_steps": 2**32}}, "warmup_steps must be below 2**32"),
+    (_generator(tasks=[1], task=False), "data.generator.tasks[0] must be an object"),
+    (_generator(kind="seq_ranking"), "unknown task kind 'seq_ranking'"),
+    (_jsonl(1), "data.jsonl[0] must be an object"),
+    (_jsonl(dict(JSONL_TASK, batch_size="4")), "data.jsonl[0].batch_size"),
+    (_jsonl(dict(JSONL_TASK, num_classes="2")), "data.jsonl[0].num_classes"),
+    (_jsonl(dict(JSONL_TASK, train=1)), "data.jsonl[0].train"),
+    ({"analysis": {"rep_gen": 1}}, "analysis.rep_gen"),
+    ({"out_dir": 3}, "out_dir"),
+    ({"analysis": {"rep_gen": True, "layers": [True]}}, "analysis.layers"),
 ], ids=["layer0", "layer9", "cadence0", "epochs_str", "seed_negative",
         "warmup_negative", "lr_negative", "decay_negative", "sizes_short",
         "sizes_float", "relatedness_str", "batch_size_str", "num_classes_float",
         "seq_len_short", "vocab_size_str", "latent_dim_float", "bins_str",
         "gen_seed_str", "gen_seed_negative", "backbone_str", "jsonl_no_id",
-        "jsonl_no_kind", "jsonl_no_metric"])
+        "jsonl_no_kind", "jsonl_no_metric", "warmup_u32", "gen_task_int",
+        "gen_kind_unknown", "jsonl_task_int", "jsonl_batch_size_str",
+        "jsonl_num_classes_str", "jsonl_train_int", "rep_gen_int", "out_dir_int",
+        "layers_bool"])
 def test_invalid_run_config_is_cli_error(tmp_path, capsys, overrides, message):
     path = _write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"tasks": [', "invalid JSON"),
+    (None, "cannot read config"),
+    (json.dumps(dict(GENERATOR, seed="0")), "generator.seed must be an integer"),
+], ids=["truncated", "missing", "seed_str"])
+def test_bad_generator_spec_is_cli_error(tmp_path, capsys, text, message):
+    spec = tmp_path / "gen.json"
+    if text is not None:
+        spec.write_text(text)
+    assert main(["gen-data", "--config", str(spec), "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "data").exists()
 
 
 def test_negative_seed_flag_is_cli_error(tmp_path, capsys):
@@ -365,3 +398,20 @@ def test_checkpoint_header_without_config_is_cli_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(path)]) == 1
     assert "error: checkpoint header has no 'config' entry" in capsys.readouterr().err
+
+
+def test_checkpoint_header_of_wrong_type_is_cli_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    main(["train", "--config", str(cfg), "--out", str(out)])
+    path = out / "ckpt_final.spal"
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    header["config"]["tasks"][0]["batch_size"] = "4"
+    header["digest"] = config_digest(header["config"])
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:])
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(path)]) == 1
+    assert "error: checkpoint config.tasks[0].batch_size" in capsys.readouterr().err
