@@ -90,9 +90,9 @@ def representation_generalization(summaries: list[RepSummary]) -> float:
 
 
 def rep_gen_at_layers(model: MtlModel, data: dict[str, TaskData],
-                      layers: list[int], split: str = "train") -> dict[int, float]:
-    """G value per requested layer, using each task's chosen split."""
-    per_task = [task_mean_representation(model, data[tid].split(split), tid, layers)
+                      layers: list[int]) -> dict[int, float]:
+    """G value per requested layer, over each task's training split."""
+    per_task = [task_mean_representation(model, data[tid].train, tid, layers)
                 for tid in sorted(data)]
     return {layer: representation_generalization([s[i] for s in per_task])
             for i, layer in enumerate(layers)}

@@ -37,7 +37,6 @@ __all__ = [
     "Param",
     "backward",
     "no_graph",
-    "constant",
     "matmul",
     "add",
     "add_bias",
@@ -123,10 +122,6 @@ class Param(Tensor):
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
 
 
 def backward(loss: Tensor) -> None:

@@ -33,7 +33,7 @@ class BackboneConfig:
     max_seq_len: int = 128
     padding_token_id: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in ("num_layers", "model_dim", "num_heads", "ff_dim",
                   "vocab_size", "max_seq_len"):
             if getattr(self, f) <= 0:
@@ -109,7 +109,6 @@ def backbone_param_count(config: BackboneConfig) -> int:
 
 def init_backbone(config: BackboneConfig, seed: int) -> Backbone:
     """Deterministic init: scaled normal weights, zero biases, unit LN gains."""
-    config.validate()
     rng = np.random.default_rng(seed)
     d, ff = config.model_dim, config.ff_dim
     std = 0.02
@@ -196,8 +195,7 @@ def _backbone_layer(x: Tensor, mask: np.ndarray, bb: Backbone, i: int) -> Tensor
 
 def encode(token_ids, backbone: Backbone,
            spals: "SpalStack | None" = None,
-           probe: "ProbeWeights | None" = None,
-           force_probe_w: float | None = None) -> Encoding:
+           probe: "ProbeWeights | None" = None) -> Encoding:
     """Run the encoder over right-padded [B, T] ids, returning every layer's
     [B, T, d] output. Padding-id positions are masked as attention keys, so
     a row's outputs depend neither on its padding nor on the other rows.
@@ -231,10 +229,10 @@ def encode(token_ids, backbone: Backbone,
         frozen_out = _backbone_layer(x, mask, backbone, i)
         if spals is None:
             x = frozen_out
-        elif probe is None and force_probe_w is None:
+        elif probe is None:
             x = ad.add(frozen_out, spals.forward(i, x, mask))
         else:
-            w = probe.weight(i) if force_probe_w is None else ad.constant(force_probe_w)
+            w = probe.weight(i)
             x = ad.add(ad.scale_by_scalar(frozen_out, w),
                        ad.scale_by_scalar(spals.forward(i, x, mask), ad.one_minus(w)))
         outputs.append(x)

@@ -59,26 +59,22 @@ def _load_for_tasks(path, data: dict[str, TaskData]) -> MtlModel:
 
 
 def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
-                data: dict[str, TaskData] | None = None,
-                model: MtlModel | None = None) -> tuple[RunRecord, MtlModel]:
+                data: dict[str, TaskData] | None = None) -> RunRecord:
     """Train one model under the config, collecting any configured
     diagnostics, and emit all artifacts to out_dir."""
     plan = dataclasses.replace(cfg.plan, seed=seed)
     if data is None:
         data = cfg.build_data()
-    if model is None:
-        model = cfg.build_model(data, seed)
+    model = cfg.build_model(data, seed)
 
     cadence = cfg.analysis.snapshot_cadence
     layers = cfg.analysis.layers or an.reported_layers(cfg.backbone.num_layers)
     repgen_rows: list[tuple[int, int, float]] = []
     gradsim: dict[int, an.SimilarityMatrix] = {}
-    seen_steps: set[int] = set()
 
     def on_step(step: int, m: MtlModel) -> None:
-        if step % cadence != 0 or step in seen_steps:
+        if step % cadence != 0:
             return
-        seen_steps.add(step)
         if cfg.analysis.rep_gen:
             for layer, g in an.rep_gen_at_layers(m, data, layers).items():
                 repgen_rows.append((step, layer, g))
@@ -116,7 +112,7 @@ def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
         model.restore(current)
         save_checkpoint(model, out_dir / "ckpt_final.spal",
                         optimizer=record.optimizer_state)
-    return record, model
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +134,7 @@ def cmd_train(args) -> int:
     seed = args.seed if args.seed is not None else cfg.plan.seed
     out = Path(args.out) if args.out else (
         Path(cfg.out_dir) if cfg.out_dir else None)
-    record, _ = execute_run(cfg, seed, out)
+    record = execute_run(cfg, seed, out)
     for tid in record.task_ids:
         b = record.best[tid]
         print(f"{tid}: best {b['score']:.4f} at step {b['step']}")
@@ -160,14 +156,11 @@ def cmd_sweep_capacity(args) -> int:
     hiddens = _parse_int_list(args.hidden, "--hidden") if args.hidden else DEFAULT_SWEEP_HIDDEN
     seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else DEFAULT_SWEEP_SEEDS
     out = Path(args.out) if args.out else Path(cfg.out_dir or "sweep")
+    run_cfgs = [dataclasses.replace(cfg, spal_hidden=h) for h in hiddens]  # checks each h
     data = cfg.build_data()
-    for h in hiddens:
-        records = []
-        for seed in seeds:
-            run_cfg = dataclasses.replace(cfg, spal_hidden=h)
-            run_dir = out / f"h{h}" / f"seed{seed}"
-            record, _ = execute_run(run_cfg, seed, run_dir, data=data)
-            records.append(record)
+    for h, run_cfg in zip(hiddens, run_cfgs):
+        records = [execute_run(run_cfg, seed, out / f"h{h}" / f"seed{seed}", data=data)
+                   for seed in seeds]
         if len(records) >= 2:
             write_aggregate_json(aggregate_seeds(records), out / f"h{h}")
         for tid in records[0].task_ids:
@@ -188,7 +181,7 @@ def cmd_ablate_tasks(args) -> int:
     stage = 0
     while len(remaining) >= 1:
         stage_dir = out / f"stage{stage}_{'-'.join(sorted(remaining))}"
-        record, _ = execute_run(cfg, cfg.plan.seed, stage_dir, data=dict(remaining))
+        record = execute_run(cfg, cfg.plan.seed, stage_dir, data=dict(remaining))
         best = {tid: record.best[tid]["score"] for tid in record.task_ids}
         print(f"stage {stage} ({sorted(remaining)}): "
               + json.dumps(best, sort_keys=True))

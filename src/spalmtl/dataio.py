@@ -18,6 +18,16 @@ from .tasks import TaskExample, TaskSpec, insert_target_markers, validate_exampl
 _ALLOWED_KEYS = {"tokens", "label", "spans", "target_span", "latent"}
 
 
+def _array(value, key: str, dtype=np.int64) -> np.ndarray:
+    """A JSON list of integers (of numbers for float64) as an array. Nothing
+    is converted, so 5.7 is an error, not token 5."""
+    types = (int,) if dtype is np.int64 else (int, float)
+    if not isinstance(value, list) or not all(type(v) in types for v in value):
+        what = "integers" if dtype is np.int64 else "numbers"
+        raise DataError(f"'{key}' must be a list of {what}, got {value!r}")
+    return np.array(value, dtype=dtype)
+
+
 def load_jsonl_dataset(path, spec: TaskSpec,
                        marker_kind: str | None = None) -> list[TaskExample]:
     path = Path(path)
@@ -40,14 +50,21 @@ def load_jsonl_dataset(path, spec: TaskSpec,
             raise DataError(f"{path}:{lineno}: unknown keys {sorted(unknown)}")
         if "tokens" not in obj or "label" not in obj:
             raise DataError(f"{path}:{lineno}: missing required 'tokens'/'label'")
+        label, regression = obj["label"], spec.kind == "seq_regression"
         try:
+            if spec.kind == "token_classification":
+                label = _array(label, "label")
+            elif type(label) not in ((int, float) if regression else (int,)):
+                want = "a number" if regression else "an integer class"
+                raise DataError(f"'label' must be {want}, got {label!r}")
             ex = TaskExample(
-                token_ids=np.asarray(obj["tokens"], dtype=np.int64),
-                label=obj["label"],
+                token_ids=_array(obj["tokens"], "tokens"), label=label,
                 target_span=tuple(obj["target_span"]) if obj.get("target_span") else None,
                 spans=[tuple(s) for s in obj["spans"]] if obj.get("spans") else None,
-                latent=np.asarray(obj["latent"], dtype=np.float64)
+                latent=_array(obj["latent"], "latent", np.float64)
                 if obj.get("latent") is not None else None)
+            if not ex.token_ids.size:
+                raise DataError("'tokens' is empty")
             if marker_kind is not None and ex.target_span is not None:
                 ex.token_ids = insert_target_markers(
                     ex.token_ids, ex.target_span, marker_kind)

@@ -200,12 +200,12 @@ def build_stream(plan: TrainPlan, data: dict[str, TaskData]) -> list[Batch]:
 
 
 def run_training(plan: TrainPlan, model: MtlModel, data: dict[str, TaskData],
-                 optimizer_state: OptimizerState | None = None,
-                 start_step: int = 0, max_steps: int | None = None,
+                 max_steps: int | None = None,
                  on_step: Callable[[int, MtlModel], None] | None = None,
                  record: RunRecord | None = None) -> RunRecord:
-    """Execute the plan. Resume by passing the persisted optimizer state,
-    the step already completed, and the record so far."""
+    """Execute the plan. Resume by passing the record so far: training
+    continues after the ``step`` of its optimizer state. A record without
+    one starts at step 0."""
     if set(model.heads) != set(data):
         raise ContractError("model heads and datasets disagree on task set")
     specs = {tid: td.spec for tid, td in data.items()}
@@ -213,13 +213,14 @@ def run_training(plan: TrainPlan, model: MtlModel, data: dict[str, TaskData],
 
     stream = build_stream(plan, data)
     total = len(stream)
-    if optimizer_state is None:
-        optimizer_state = OptimizerState(
-            total_steps=total, base_lr=plan.base_lr,
-            warmup_steps=plan.warmup_steps, weight_decay=plan.weight_decay)
     if record is None:
         record = RunRecord(seed=plan.seed, task_ids=sorted(data),
                            plan_fingerprint=plan.fingerprint(), total_steps=total)
+    if record.optimizer_state is None:
+        record.optimizer_state = OptimizerState(
+            total_steps=total, base_lr=plan.base_lr,
+            warmup_steps=plan.warmup_steps, weight_decay=plan.weight_decay)
+    optimizer_state = record.optimizer_state
 
     stop_at = total if max_steps is None else min(total, max_steps)
 
@@ -237,7 +238,7 @@ def run_training(plan: TrainPlan, model: MtlModel, data: dict[str, TaskData],
                 }
                 record.best_snapshots[tid] = model.snapshot()
 
-    for idx in range(start_step, stop_at):
+    for idx in range(optimizer_state.step, stop_at):
         if on_step is not None:
             on_step(idx, model)
         batch = stream[idx]
@@ -253,7 +254,6 @@ def run_training(plan: TrainPlan, model: MtlModel, data: dict[str, TaskData],
         on_step(stop_at, model)
     if not record.evals and stop_at == total:
         run_eval(stop_at)
-    record.optimizer_state = optimizer_state
     return record
 
 

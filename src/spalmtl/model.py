@@ -57,9 +57,7 @@ class MtlModel:
         backbone = init_backbone(backbone_config, seed)
         spals = None
         if spal_hidden is not None:
-            spals = attach_spals(
-                backbone, SpalConfig(spal_hidden, backbone_config.num_heads),
-                seed + 1)
+            spals = attach_spals(backbone, SpalConfig(spal_hidden), seed + 1)
         heads = {
             spec.id: Head(spec, backbone_config.model_dim, seed + 2 + i)
             for i, spec in enumerate(task_specs)
@@ -70,10 +68,9 @@ class MtlModel:
 
     # -- forward ------------------------------------------------------------
 
-    def encode(self, token_ids, force_probe_w: float | None = None) -> Encoding:
+    def encode(self, token_ids) -> Encoding:
         """Encode right-padded [B, T] token ids."""
-        return encode(token_ids, self.backbone, spals=self.spals,
-                      probe=self.probe, force_probe_w=force_probe_w)
+        return encode(token_ids, self.backbone, spals=self.spals, probe=self.probe)
 
     def encode_examples(self, examples: list) -> Encoding:
         """Encode the examples as one batch, each right-padded to the

@@ -19,6 +19,7 @@ from .dataio import load_jsonl_dataset
 from .engine import TrainPlan
 from .errors import ConfigError
 from .model import MtlModel
+from .spal import SpalConfig, count_spal_params
 from .synthdata import GeneratorSpec, gen_synthetic_suite
 from .tasks import TaskData, TaskSpec
 
@@ -124,6 +125,10 @@ class RunConfig:
     out_dir: str | None = None
     base_dir: Path = field(default_factory=Path)
 
+    def __post_init__(self):
+        if self.spal_hidden is not None:  # positive and a multiple of the heads
+            count_spal_params(SpalConfig(self.spal_hidden), self.backbone)
+
     def build_data(self) -> dict[str, TaskData]:
         if self.generator is not None:
             return gen_synthetic_suite(self.generator)
@@ -154,7 +159,6 @@ def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:
         backbone = PRESETS[bb]
     else:
         backbone = from_json(BackboneConfig, bb, "backbone")
-        backbone.validate()
 
     # The plan alone decides whether the backbone trains: run_training
     # re-applies it, and run.json records it.
@@ -165,12 +169,12 @@ def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:
     if not data_obj:
         raise ConfigError("run config needs a 'data' section")
     _check_keys(data_obj, _DATA_KEYS, "data")
+    if len(data_obj) > 1:
+        raise ConfigError("data takes 'generator' or 'jsonl', not both")
     generator = None
-    jsonl_tasks: list[JsonlTask] = []
     if "generator" in data_obj:
         generator = from_json(GeneratorSpec, data_obj["generator"], "data.generator")
-    elif "jsonl" in data_obj:
-        jsonl_tasks = _read_value(data_obj["jsonl"], list[JsonlTask], "data.jsonl")
+    jsonl_tasks = _read_value(data_obj.get("jsonl", []), list[JsonlTask], "data.jsonl")
     if generator is None and not jsonl_tasks:
         raise ConfigError("data section needs 'generator' or a non-empty 'jsonl'")
 

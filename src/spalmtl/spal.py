@@ -20,26 +20,21 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class SpalConfig:
-    hidden_size: int
-    num_heads: int
+    """The SPAL width h; the attention heads are the backbone's."""
 
-    def validate(self) -> None:
-        if self.hidden_size <= 0 or self.num_heads <= 0:
-            raise ConfigError("SpalConfig dims must be positive")
-        if self.hidden_size % self.num_heads != 0:
-            raise ConfigError(
-                f"hidden_size {self.hidden_size} not divisible by "
-                f"num_heads {self.num_heads}")
+    hidden_size: int
+
+    def __post_init__(self):
+        if self.hidden_size <= 0:
+            raise ConfigError(f"spal_hidden must be positive, got {self.hidden_size}")
 
 
 class SpalStack:
     """One SPAL per backbone layer; exactly one stack per model."""
 
-    def __init__(self, config: SpalConfig, num_layers: int, model_dim: int,
-                 params: dict[str, Param]):
+    def __init__(self, config: SpalConfig, num_heads: int, params: dict[str, Param]):
         self.config = config
-        self.num_layers = num_layers
-        self.model_dim = model_dim
+        self.num_heads = num_heads
         self.params = params
 
     def param_count(self) -> int:
@@ -50,7 +45,7 @@ class SpalStack:
         pre = f"spal.layer{layer}"
         down = ad.matmul(x, p[f"{pre}.down"])
         attn = multi_head_attention(
-            down, mask, self.config.num_heads,
+            down, mask, self.num_heads,
             p[f"{pre}.q"], None, p[f"{pre}.k"], None,
             p[f"{pre}.v"], None, p[f"{pre}.o"], None)
         return ad.matmul(attn, p[f"{pre}.up"])
@@ -62,11 +57,7 @@ def attach_spals(backbone: Backbone, config: SpalConfig, seed: int) -> SpalStack
     up_proj starts at zero so a fresh stack is an exact additive identity on
     the frozen encoder; the remaining projections use scaled-normal init.
     """
-    config.validate()
-    if config.num_heads != backbone.config.num_heads:
-        raise ConfigError(
-            f"spal num_heads {config.num_heads} != backbone heads "
-            f"{backbone.config.num_heads}")
+    count_spal_params(config, backbone.config)  # checks h against the heads
     rng = np.random.default_rng(seed)
     d = backbone.config.model_dim
     h = config.hidden_size
@@ -79,13 +70,16 @@ def attach_spals(backbone: Backbone, config: SpalConfig, seed: int) -> SpalStack
             params[f"{pre}.{proj}"] = Param(
                 rng.normal(0.0, std, (h, h)), name=f"{pre}.{proj}")
         params[f"{pre}.up"] = Param(np.zeros((h, d)), name=f"{pre}.up")
-    return SpalStack(config, backbone.config.num_layers, d, params)
+    return SpalStack(config, backbone.config.num_heads, params)
 
 
 def count_spal_params(config: SpalConfig, backbone: BackboneConfig) -> int:
-    """L * (4h^2 + 2hd): four h x h attention projections plus down/up."""
-    config.validate()
-    backbone.validate()
+    """L * (4h^2 + 2hd): four h x h attention projections plus down/up.
+    Each SPAL attends with the backbone's heads, so they must divide h."""
+    if config.hidden_size % backbone.num_heads != 0:
+        raise ConfigError(
+            f"spal_hidden {config.hidden_size} not divisible by the backbone's "
+            f"num_heads {backbone.num_heads}")
     h, d = config.hidden_size, backbone.model_dim
     return backbone.num_layers * (4 * h * h + 2 * h * d)
 

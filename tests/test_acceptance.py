@@ -36,10 +36,10 @@ def _passed(n: int, desc: str) -> None:
 
 def test_criterion_01_parameter_count_exactness():
     t0 = time.time()
-    assert count_spal_params(SpalConfig(12, 12), BERT_BASE) == 228_096
-    assert count_spal_params(SpalConfig(204, 12), BERT_BASE) == 5_757_696
-    assert count_spal_params(SpalConfig(816, 12), BERT_BASE) == 47_001_600
-    frac = capacity_fraction(SpalConfig(816, 12), BERT_BASE)
+    assert count_spal_params(SpalConfig(12), BERT_BASE) == 228_096
+    assert count_spal_params(SpalConfig(204), BERT_BASE) == 5_757_696
+    assert count_spal_params(SpalConfig(816), BERT_BASE) == 47_001_600
+    frac = capacity_fraction(SpalConfig(816), BERT_BASE)
     assert 0.422 <= frac <= 0.432
     assert time.time() - t0 < 1.0
     _passed(1, "parameter counts exact, capacity fraction in bracket")
@@ -314,7 +314,10 @@ def test_criterion_07_probe_contracts():
         p.data = np.zeros_like(p.data)
     ids = np.array([[4, 9, 17]])
     frozen = MtlModel(model.backbone).encode(ids)
-    forced = model.encode(ids, force_probe_w=1.0)
+    for i in range(bb.num_layers):  # sigmoid(40 - 0.31) rounds to exactly 1
+        model.probe.params[f"probe.layer{i}.a"].data = np.array(40.0)
+    assert model.probe.values() == [1.0] * bb.num_layers
+    forced = model.encode(ids)
     for a, b in zip(frozen.per_layer_outputs, forced.per_layer_outputs):
         assert np.array_equal(a.data, b.data)
     _passed(7, "blend weights are a proper softmax pair and the forced "
@@ -365,9 +368,8 @@ def test_criterion_08_checkpoint_integrity(tmp_path):
     half = len(build_stream(plan, data)) // 2
     partial = run_training(plan, model, data, max_steps=half)
     save_checkpoint(model, path, optimizer=partial.optimizer_state)
-    restored, opt = load_checkpoint(path)
-    resumed = run_training(plan, restored, data, optimizer_state=opt,
-                           start_step=half, record=partial)
+    restored, partial.optimizer_state = load_checkpoint(path)
+    resumed = run_training(plan, restored, data, record=partial)
     assert resumed.losses == full.losses
     assert resumed.evals == full.evals
     _passed(8, "100 random models round trip bit-exactly; resumed run "

@@ -336,7 +336,10 @@ def test_forced_unit_weight_with_zero_spals_is_frozen_path():
     model = _build(data, probe=True)
     ids = data["alpha"].train[0].token_ids
     plain = MtlModel(model.backbone).encode(ids[None])
-    forced = model.encode(ids[None], force_probe_w=1.0)
+    for i in range(model.probe.num_layers):  # sigmoid(40) rounds to exactly 1
+        model.probe.params[f"probe.layer{i}.a"].data = np.array(40.0)
+    assert model.probe.values() == [1.0] * model.probe.num_layers
+    forced = model.encode(ids[None])
     for a, b in zip(plain.per_layer_outputs, forced.per_layer_outputs):
         assert np.array_equal(a.data, b.data)
 

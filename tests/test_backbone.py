@@ -43,10 +43,10 @@ def test_different_seed_differs():
 def test_invalid_config_names_field():
     with pytest.raises(ConfigError, match="model_dim"):
         BackboneConfig(num_layers=1, model_dim=10, num_heads=3, ff_dim=8,
-                       vocab_size=16, max_seq_len=8).validate()
+                       vocab_size=16, max_seq_len=8)
     with pytest.raises(ConfigError, match="num_layers"):
         BackboneConfig(num_layers=0, model_dim=8, num_heads=2, ff_dim=8,
-                       vocab_size=16, max_seq_len=8).validate()
+                       vocab_size=16, max_seq_len=8)
 
 
 def test_param_count_matches_enumeration():

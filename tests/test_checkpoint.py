@@ -212,9 +212,8 @@ def test_resume_from_checkpoint_matches_uninterrupted(tmp_path):
     path = tmp_path / "mid.spal"
     save_checkpoint(model, path, optimizer=partial.optimizer_state)
 
-    restored, opt = load_checkpoint(path)
-    resumed = run_training(plan, restored, data, optimizer_state=opt,
-                           start_step=half, record=partial)
+    restored, partial.optimizer_state = load_checkpoint(path)
+    resumed = run_training(plan, restored, data, record=partial)
     assert resumed.losses == full.losses
     assert resumed.evals == full.evals
     final_full = run_training(plan, fresh(), data)  # sanity: determinism held

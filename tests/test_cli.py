@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ def test_unknown_generator_task_key_rejected():
 def test_unknown_analysis_key_rejected():
     with pytest.raises(ConfigError, match="cadence_typo"):
         parse_run_config(_config(analysis={"cadence_typo": 5}))
+
+
+def test_readme_minimal_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A minimal config:\n\n```json\n", 1)[1].split("```", 1)[0]
+    cfg = parse_run_config(json.loads(block))
+    assert cfg.spal_hidden == 12 and cfg.analysis.rep_gen
+    assert sorted(cfg.build_data()) == ["a", "b"]
 
 
 def test_backbone_preset_by_name():
@@ -258,6 +267,11 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
     ({"analysis": {"rep_gen": 1}}, "analysis.rep_gen"),
     ({"out_dir": 3}, "out_dir"),
     ({"analysis": {"rep_gen": True, "layers": [True]}}, "analysis.layers"),
+    ({"spal_hidden": 0}, "spal_hidden must be positive, got 0"),
+    ({"spal_hidden": -1}, "spal_hidden must be positive, got -1"),
+    ({"spal_hidden": 3}, "spal_hidden 3 not divisible by the backbone's num_heads 2"),
+    ({"data": {"generator": GENERATOR, "jsonl": [JSONL_TASK]}},
+     "data takes 'generator' or 'jsonl', not both"),
 ], ids=["layer0", "layer9", "cadence0", "epochs_str", "seed_negative",
         "warmup_negative", "lr_negative", "decay_negative", "sizes_short",
         "sizes_float", "relatedness_str", "batch_size_str", "num_classes_float",
@@ -266,7 +280,8 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
         "jsonl_no_kind", "jsonl_no_metric", "warmup_u32", "gen_task_int",
         "gen_kind_unknown", "jsonl_task_int", "jsonl_batch_size_str",
         "jsonl_num_classes_str", "jsonl_train_int", "rep_gen_int", "out_dir_int",
-        "layers_bool"])
+        "layers_bool", "spal_hidden_0", "spal_hidden_negative",
+        "spal_hidden_indivisible", "data_both"])
 def test_invalid_run_config_is_cli_error(tmp_path, capsys, overrides, message):
     path = _write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1
@@ -300,6 +315,14 @@ def test_bad_sweep_list_is_cli_error(tmp_path, capsys, flag, value):
     assert main(["sweep-capacity", "--config", str(cfg), flag, value,
                  "--out", str(tmp_path / "sweep")]) == 1
     assert f"error: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_zero_hidden_is_cli_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    assert main(["sweep-capacity", "--config", str(cfg), "--hidden", "2,0",
+                 "--seeds", "1", "--out", str(tmp_path / "sweep")]) == 1
+    assert "error: spal_hidden must be positive, got 0" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
 
 

@@ -88,6 +88,34 @@ def test_out_of_range_class_label_rejected(tmp_path):
         load_jsonl_dataset(path, CLS)
 
 
+@pytest.mark.parametrize("spec,line,message", [
+    (CLS, '{"tokens": "abc", "label": 0}', "'tokens' must be a list of integers"),
+    (CLS, '{"tokens": [[5, 6], [7, 8]], "label": 0}', "'tokens' must be a list of integers"),
+    (CLS, '{"tokens": [5.7, 6], "label": 0}', "'tokens' must be a list of integers"),
+    (CLS, '{"tokens": [], "label": 0}', "'tokens' is empty"),
+    (CLS, '{"tokens": [4], "label": "x"}', "'label' must be an integer class"),
+    (CLS, '{"tokens": [4], "label": null}', "'label' must be an integer class"),
+    (CLS, '{"tokens": [4], "label": 1.9}', "'label' must be an integer class"),
+    (CLS, '{"tokens": [4], "label": 0, "latent": ["q"]}',
+     "'latent' must be a list of numbers"),
+    (TOK, '{"tokens": [4, 5], "label": [0, 1.5]}', "'label' must be a list of integers"),
+], ids=["tokens_str", "tokens_2d", "tokens_float", "tokens_empty", "label_str",
+        "label_null", "label_float", "latent_str", "tag_float"])
+def test_malformed_value_reports_line(tmp_path, spec, line, message):
+    good = '{"tokens": [4], "label": [0]}' if spec is TOK else '{"tokens": [4], "label": 0}'
+    path = tmp_path / "d.jsonl"
+    path.write_text(good + "\n" + line + "\n")
+    with pytest.raises(DataError, match=f"d.jsonl:2: {message}"):
+        load_jsonl_dataset(path, spec)
+
+
+def test_integer_regression_label_accepted(tmp_path):
+    spec = TaskSpec(id="r", kind="seq_regression", metric="rmse")
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"tokens": [4], "label": 1}\n{"tokens": [4], "label": -0.25}\n')
+    assert [ex.label for ex in load_jsonl_dataset(path, spec)] == [1.0, -0.25]
+
+
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "out" / "d.jsonl"
     exs = [

@@ -16,7 +16,7 @@ from conftest import TINY
 
 def test_attach_one_layer_per_backbone_layer():
     bb = init_backbone(TINY, seed=0)
-    spals = attach_spals(bb, SpalConfig(4, TINY.num_heads), seed=1)
+    spals = attach_spals(bb, SpalConfig(4), seed=1)
     downs = [k for k in spals.params if k.endswith(".down")]
     assert len(downs) == TINY.num_layers
     # six tensors per layer: down, q, k, v, o, up
@@ -25,26 +25,29 @@ def test_attach_one_layer_per_backbone_layer():
 
 def test_same_seed_bit_identical_init():
     bb = init_backbone(TINY, seed=0)
-    a = attach_spals(bb, SpalConfig(4, TINY.num_heads), seed=9)
-    b = attach_spals(bb, SpalConfig(4, TINY.num_heads), seed=9)
+    a = attach_spals(bb, SpalConfig(4), seed=9)
+    b = attach_spals(bb, SpalConfig(4), seed=9)
     for name in a.params:
         assert np.array_equal(a.params[name].data, b.params[name].data)
 
 
 def test_head_mismatch_rejected():
+    # the SPAL heads are the backbone's, so h must be a multiple of them
     bb = init_backbone(TINY, seed=0)
-    with pytest.raises(ConfigError, match="num_heads"):
-        attach_spals(bb, SpalConfig(6, 3), seed=0)
+    with pytest.raises(ConfigError, match="spal_hidden 5 .*num_heads 2"):
+        attach_spals(bb, SpalConfig(5), seed=0)
 
 
 def test_indivisible_hidden_rejected():
     with pytest.raises(ConfigError, match="divisible"):
-        SpalConfig(5, 2).validate()
+        count_spal_params(SpalConfig(5), TINY)
+    with pytest.raises(ConfigError, match="spal_hidden must be positive"):
+        SpalConfig(0)
 
 
 def test_fresh_stack_is_additive_identity():
     bb = init_backbone(TINY, seed=2)
-    spals = attach_spals(bb, SpalConfig(4, TINY.num_heads), seed=3)
+    spals = attach_spals(bb, SpalConfig(4), seed=3)
     ids = np.array([[4, 9, 17], [5, 0, 0]])
     plain = encode(ids, bb)
     with_spal = encode(ids, bb, spals=spals)
@@ -53,26 +56,26 @@ def test_fresh_stack_is_additive_identity():
 
 
 def test_param_counts_on_replica_geometry():
-    assert count_spal_params(SpalConfig(12, 12), BERT_BASE) == 228_096
-    assert count_spal_params(SpalConfig(204, 12), BERT_BASE) == 5_757_696
-    assert count_spal_params(SpalConfig(816, 12), BERT_BASE) == 47_001_600
+    assert count_spal_params(SpalConfig(12), BERT_BASE) == 228_096
+    assert count_spal_params(SpalConfig(204), BERT_BASE) == 5_757_696
+    assert count_spal_params(SpalConfig(816), BERT_BASE) == 47_001_600
 
 
 def test_count_matches_enumeration():
     bb = init_backbone(TINY, seed=0)
-    spals = attach_spals(bb, SpalConfig(6, TINY.num_heads), seed=0)
-    assert spals.param_count() == count_spal_params(SpalConfig(6, TINY.num_heads), TINY)
+    spals = attach_spals(bb, SpalConfig(6), seed=0)
+    assert spals.param_count() == count_spal_params(SpalConfig(6), TINY)
 
 
 def test_capacity_fractions():
-    assert capacity_fraction(SpalConfig(816, 12), BERT_BASE) == \
+    assert capacity_fraction(SpalConfig(816), BERT_BASE) == \
         pytest.approx(0.427, abs=0.005)
-    assert capacity_fraction(SpalConfig(12, 12), BERT_BASE) == \
+    assert capacity_fraction(SpalConfig(12), BERT_BASE) == \
         pytest.approx(0.002, abs=0.0005)
 
 
 def test_capacity_fraction_toy_hand_ratio():
-    cfg = SpalConfig(4, TINY.num_heads)
+    cfg = SpalConfig(4)
     bb = init_backbone(TINY, seed=0)
     expected = count_spal_params(cfg, TINY) / bb.param_count()
     assert capacity_fraction(cfg, TINY) == pytest.approx(expected, abs=1e-15)
@@ -83,7 +86,7 @@ def test_forward_matches_scalar_attention_oracle():
     cfg = BackboneConfig(num_layers=1, model_dim=4, num_heads=1, ff_dim=4,
                          vocab_size=16, max_seq_len=8)
     bb = init_backbone(cfg, seed=1)
-    spals = attach_spals(bb, SpalConfig(2, 1), seed=2)
+    spals = attach_spals(bb, SpalConfig(2), seed=2)
     rng = np.random.default_rng(5)
     spals.params["spal.layer0.up"].data = rng.normal(size=(2, 4))
 
