@@ -28,11 +28,11 @@ from typing import BinaryIO
 import numpy as np
 
 from .backbone import BackboneConfig
+from .dataio import from_json, parse_json
 from .errors import (CheckpointDigestError, CheckpointFormatError,
                      CheckpointTruncatedError, CheckpointVersionError, ConfigError)
 from .model import MtlModel
 from .optim import OptimizerState
-from .runcfg import from_json
 from .tasks import TaskSpec
 
 MAGIC = b"SPAL"
@@ -68,6 +68,13 @@ def _read(f: BinaryIO, n: int) -> bytes:
         raise CheckpointTruncatedError(
             f"expected {n} bytes, got {len(data)}: file is truncated")
     return data
+
+
+def _read_name(f: BinaryIO) -> str:
+    try:
+        return _read(f, struct.unpack("<H", _read(f, 2))[0]).decode()
+    except UnicodeDecodeError as e:
+        raise CheckpointFormatError(f"tensor name is not UTF-8: {e}") from e
 
 
 def _write_array(f: BinaryIO, arr: np.ndarray) -> None:
@@ -135,8 +142,8 @@ def load_checkpoint(path, expected_config: dict | None = None
                 f"unsupported checkpoint version {version} (expected {VERSION})")
         (hlen,) = struct.unpack("<I", _read(f, 4))
         try:
-            header = json.loads(_read(f, hlen).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            header = parse_json(_read(f, hlen))
+        except ConfigError as e:
             raise CheckpointFormatError(f"unparseable header: {e}") from e
         if not isinstance(header, dict) or "config" not in header:
             raise CheckpointFormatError("checkpoint header has no 'config' entry")
@@ -153,8 +160,7 @@ def load_checkpoint(path, expected_config: dict | None = None
         seen: set[str] = set()
         (n_tensors,) = struct.unpack("<I", _read(f, 4))
         for _ in range(n_tensors):
-            (nlen,) = struct.unpack("<H", _read(f, 2))
-            name = _read(f, nlen).decode()
+            name = _read_name(f)
             (trainable,) = struct.unpack("<B", _read(f, 1))
             arr = _read_array(f)
             if name not in params:
@@ -185,8 +191,7 @@ def load_checkpoint(path, expected_config: dict | None = None
                 weight_decay=wd, step=step)
             (n_pairs,) = struct.unpack("<I", _read(f, 4))
             for _ in range(n_pairs):
-                (nlen,) = struct.unpack("<H", _read(f, 2))
-                name = _read(f, nlen).decode()
+                name = _read_name(f)
                 optimizer.m[name] = _read_array(f)
                 optimizer.v[name] = _read_array(f)
     return model, optimizer

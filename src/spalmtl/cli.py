@@ -11,13 +11,13 @@ from pathlib import Path
 
 from . import analysis as an
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataio import save_jsonl_dataset
+from .dataio import from_json, read_json, save_jsonl_dataset
 from .engine import (RunRecord, TrainPlan, aggregate_seeds, evaluate_task,
                      run_training, transfer_finetune)
 from .errors import ConfigError, SpalMtlError
 from .model import MtlModel
 from .reporting import emit_metrics, write_aggregate_json
-from .runcfg import RunConfig, from_json, load_run_config, read_json
+from .runcfg import AnalysisConfig, RunConfig, load_run_config
 from .synthdata import GeneratorSpec, gen_synthetic_suite
 from .tasks import TaskData
 
@@ -49,13 +49,46 @@ def _parse_shots(text: str) -> tuple[int, int]:
 
 
 def _load_for_tasks(path, data: dict[str, TaskData]) -> MtlModel:
-    """Load a checkpoint that has a head for every task of the config."""
+    """Load a checkpoint whose heads match the config's tasks: a head for
+    every task, of the same kind, classes and tag names."""
     model, _ = load_checkpoint(path)
     missing = sorted(set(data) - set(model.heads))
     if missing:
         raise ConfigError(f"checkpoint {path} has no head for config task(s) "
                           f"{missing}; its tasks are {sorted(model.heads)}")
+    for tid in sorted(data):
+        for key in ("kind", "num_classes", "tag_names"):
+            got, want = getattr(model.heads[tid].spec, key), getattr(data[tid].spec, key)
+            if got != want:
+                raise ConfigError(f"checkpoint {path} head {tid!r} has {key} {got!r}, "
+                                  f"but the config's task has {want!r}")
     return model
+
+
+def _step_diagnostics(model: MtlModel, data: dict[str, TaskData], step: int,
+                      analysis: AnalysisConfig, repgen: list, gradsim: dict) -> None:
+    """Append the rep-gen rows and the gradient-similarity matrix at `step`,
+    as `analysis` enables them. G is over task pairs: one task adds no row."""
+    if analysis.rep_gen and len(data) > 1:
+        layers = analysis.layers or an.reported_layers(model.backbone.config.num_layers)
+        repgen += [(step, layer, g)
+                   for layer, g in an.rep_gen_at_layers(model, data, layers).items()]
+    if analysis.grad_snapshots:
+        gradsim[step] = an.gradient_similarity_matrix(
+            [an.snapshot_task_gradient(model, td.spec, td.train, step)
+             for _, td in sorted(data.items())])
+
+
+def _final_diagnostics(model: MtlModel, data: dict[str, TaskData], embeddings: bool) -> dict:
+    """Probe weights and, with `embeddings`, the task and text embedding
+    similarities, as `emit_metrics` keywords."""
+    out = {"probe": an.probe_contributions(model) if model.probe is not None else None}
+    if embeddings:
+        out["task_sim"], out["text_sim"] = (
+            an.embedding_similarity_matrix({tid: embed(td) for tid, td in sorted(data.items())})
+            for embed in (lambda td: an.task_embedding(model, td.spec, td.train),
+                          lambda td: an.text_embedding(model, td.train)))
+    return out
 
 
 def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
@@ -66,45 +99,19 @@ def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
     if data is None:
         data = cfg.build_data()
     model = cfg.build_model(data, seed)
-
-    cadence = cfg.analysis.snapshot_cadence
-    layers = cfg.analysis.layers or an.reported_layers(cfg.backbone.num_layers)
-    repgen_rows: list[tuple[int, int, float]] = []
-    gradsim: dict[int, an.SimilarityMatrix] = {}
+    analysis, repgen, gradsim = cfg.analysis, [], {}
 
     def on_step(step: int, m: MtlModel) -> None:
-        if step % cadence != 0:
-            return
-        if cfg.analysis.rep_gen:
-            for layer, g in an.rep_gen_at_layers(m, data, layers).items():
-                repgen_rows.append((step, layer, g))
-        if cfg.analysis.grad_snapshots:
-            snaps = [an.snapshot_task_gradient(m, data[tid].spec,
-                                               data[tid].train, step)
-                     for tid in sorted(data)]
-            gradsim[step] = an.gradient_similarity_matrix(snaps)
+        if step % analysis.snapshot_cadence == 0:
+            _step_diagnostics(m, data, step, analysis, repgen, gradsim)
 
-    need_hook = cfg.analysis.rep_gen or cfg.analysis.grad_snapshots
-    record = run_training(plan, model, data,
-                          on_step=on_step if need_hook else None)
-
-    probe_w = an.probe_contributions(model) if cfg.probe else None
-    task_sim = text_sim = None
-    if cfg.analysis.embeddings:
-        task_sim = an.embedding_similarity_matrix(
-            {tid: an.task_embedding(model, data[tid].spec, data[tid].train)
-             for tid in sorted(data)})
-        text_sim = an.embedding_similarity_matrix(
-            {tid: an.text_embedding(model, data[tid].train)
-             for tid in sorted(data)})
-
+    record = run_training(plan, model, data, on_step=on_step)
+    final = _final_diagnostics(model, data, analysis.embeddings)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        emit_metrics(record, out_dir,
-                     repgen=repgen_rows if cfg.analysis.rep_gen else None,
-                     gradsim=gradsim if cfg.analysis.grad_snapshots else None,
-                     probe=probe_w, task_sim=task_sim, text_sim=text_sim)
+        emit_metrics(record, out_dir, repgen=repgen if analysis.rep_gen else None,
+                     gradsim=gradsim if analysis.grad_snapshots else None, **final)
         current = model.snapshot()
         for tid, snap in record.best_snapshots.items():
             model.restore(snap)
@@ -215,22 +222,13 @@ def cmd_analyze(args) -> int:
     model = _load_for_tasks(args.checkpoint, data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    layers = cfg.analysis.layers or an.reported_layers(model.backbone.config.num_layers)
-    repgen = [(0, layer, g)
-              for layer, g in an.rep_gen_at_layers(model, data, layers).items()]
-    snaps = [an.snapshot_task_gradient(model, data[tid].spec, data[tid].train, 0)
-             for tid in sorted(data)]
-    gradsim = {0: an.gradient_similarity_matrix(snaps)}
-    probe_w = an.probe_contributions(model) if model.probe is not None else None
-    task_sim = an.embedding_similarity_matrix(
-        {tid: an.task_embedding(model, data[tid].spec, data[tid].train)
-         for tid in sorted(data)})
-    text_sim = an.embedding_similarity_matrix(
-        {tid: an.text_embedding(model, data[tid].train) for tid in sorted(data)})
+    repgen, gradsim = [], {}
+    _step_diagnostics(model, data, 0, dataclasses.replace(
+        cfg.analysis, rep_gen=True, grad_snapshots=True), repgen, gradsim)
     record = RunRecord(seed=cfg.plan.seed, task_ids=sorted(data),
                        plan_fingerprint=cfg.plan.fingerprint())
-    emit_metrics(record, out, repgen=repgen, gradsim=gradsim, probe=probe_w,
-                 task_sim=task_sim, text_sim=text_sim)
+    emit_metrics(record, out, repgen=repgen, gradsim=gradsim,
+                 **_final_diagnostics(model, data, embeddings=True))
     print(f"analysis artifacts written to {out}")
     return 0
 

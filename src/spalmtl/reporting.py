@@ -37,24 +37,24 @@ def write_run_json(record: RunRecord, outdir: Path) -> Path:
     return _write_json(record.to_dict(), outdir / "run.json")
 
 
-def write_repgen_csv(curves: list[tuple[int, int, float]], outdir: Path) -> Path:
-    """Rows of (step, layer, G)."""
-    path = outdir / "repgen.csv"
+def _write_csv(path: Path, header: list, rows) -> Path:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["step", "layer", "G"])
-        for step, layer, g in curves:
-            w.writerow([step, layer, _fmt(g)])
+        w.writerow(header)
+        w.writerows(rows)
     return path
+
+
+def write_repgen_csv(curves: list[tuple[int, int, float]], outdir: Path) -> Path:
+    """Rows of (step, layer, G)."""
+    return _write_csv(outdir / "repgen.csv", ["step", "layer", "G"],
+                      ([step, layer, _fmt(g)] for step, layer, g in curves))
 
 
 def write_matrix_csv(sim: SimilarityMatrix, path: Path) -> Path:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["task"] + sim.labels)
-        for i, label in enumerate(sim.labels):
-            w.writerow([label] + [_fmt(v) for v in sim.matrix[i]])
-    return path
+    return _write_csv(path, ["task"] + sim.labels,
+                      ([label] + [_fmt(v) for v in sim.matrix[i]]
+                       for i, label in enumerate(sim.labels)))
 
 
 def read_matrix_csv(path) -> SimilarityMatrix:
@@ -73,29 +73,19 @@ def write_gradsim_csvs(matrices: dict[int, SimilarityMatrix], outdir: Path) -> l
 
 
 def write_probe_csv(weights: list[float], outdir: Path) -> Path:
-    path = outdir / "probe.csv"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["layer", "w"])
-        for i, wv in enumerate(weights, start=1):
-            w.writerow([i, _fmt(wv)])
-    return path
+    return _write_csv(outdir / "probe.csv", ["layer", "w"],
+                      ([i, _fmt(w)] for i, w in enumerate(weights, start=1)))
 
 
 def write_embeddings_csv(task_sim: SimilarityMatrix | None,
                          text_sim: SimilarityMatrix | None, outdir: Path) -> Path:
     """Long-form cosine similarities for task and text embeddings."""
-    path = outdir / "embeddings.csv"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["kind", "task_a", "task_b", "cosine"])
-        for kind, sim in (("task", task_sim), ("text", text_sim)):
-            if sim is None:
-                continue
-            for i, a in enumerate(sim.labels):
-                for j, b in enumerate(sim.labels):
-                    w.writerow([kind, a, b, _fmt(sim.matrix[i, j])])
-    return path
+    return _write_csv(outdir / "embeddings.csv", ["kind", "task_a", "task_b", "cosine"],
+                      ([kind, a, b, _fmt(sim.matrix[i, j])]
+                       for kind, sim in (("task", task_sim), ("text", text_sim))
+                       if sim is not None
+                       for i, a in enumerate(sim.labels)
+                       for j, b in enumerate(sim.labels)))
 
 
 def write_aggregate_json(aggregate, outdir: Path) -> Path:

@@ -88,9 +88,13 @@ class TaskExample:
 
 
 def validate_example(spec: TaskSpec, ex: TaskExample) -> TaskExample:
-    """Check label shape/range against the task kind; clamp regression scores."""
+    """Check the tokens and the label's shape and range; nothing is clamped."""
+    if not (ex.token_ids != PAD_ID).any():
+        raise DataError(f"tokens must hold a non-padding id, got {ex.token_ids.tolist()}")
     if spec.kind == "seq_regression":
-        ex.label = float(np.clip(float(ex.label), -1.0, 1.0))
+        if not -1.0 <= ex.label <= 1.0:
+            raise DataError(f"regression label {ex.label} outside [-1, 1] for task {spec.id}")
+        ex.label = float(ex.label)
     elif spec.kind == "seq_classification":
         lbl = int(ex.label)
         if not 0 <= lbl < spec.num_classes:

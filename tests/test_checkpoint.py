@@ -172,6 +172,23 @@ def test_each_param_stored_exactly_once(tmp_path, copies, message):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("record", ["tensor", "moment"])
+def test_non_utf8_name_rejected(tmp_path, record):
+    model = _random_model(12)
+    opt = OptimizerState(total_steps=10)
+    opt.m["spal.layer0.up"] = np.zeros_like(model.all_params()["spal.layer0.up"].data)
+    opt.v["spal.layer0.up"] = opt.m["spal.layer0.up"]
+    path = tmp_path / "m.spal"
+    save_checkpoint(model, path, optimizer=opt)
+    raw = bytearray(path.read_bytes())
+    name = b"spal.layer0.up"
+    at = raw.find(name) if record == "tensor" else raw.rfind(name)
+    raw[at] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="not UTF-8"):
+        load_checkpoint(path)
+
+
 def test_truncated_file_rejected(tmp_path):
     model = _random_model(9)
     path = tmp_path / "m.spal"

@@ -1,5 +1,6 @@
 """Command-line surface and strict run-config parsing."""
 
+import argparse
 import json
 import struct
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from spalmtl.checkpoint import config_digest, load_checkpoint
-from spalmtl.cli import main
+from spalmtl.cli import build_parser, main
 from spalmtl.engine import run_training
 from spalmtl.errors import ConfigError
 from spalmtl.reporting import read_matrix_csv
@@ -96,6 +97,14 @@ def test_readme_minimal_config_parses():
     cfg = parse_run_config(json.loads(block))
     assert cfg.spal_hidden == 12 and cfg.analysis.rep_gen
     assert sorted(cfg.build_data()) == ["a", "b"]
+
+
+def test_readme_cli_block_names_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("spalmtl ")]
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert named == list(sub.choices)
 
 
 def test_backbone_preset_by_name():
@@ -438,3 +447,71 @@ def test_checkpoint_header_of_wrong_type_is_cli_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(path)]) == 1
     assert "error: checkpoint config.tasks[0].batch_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
+def test_non_finite_config_number_is_cli_error(tmp_path, capsys, literal):
+    path = _write_config(tmp_path, plan={"epochs": 1, "seed": 1, "temperature": 7.5})
+    path.write_text(path.read_text().replace("7.5", literal))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON: non-finite number {literal}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"tokens": [4, 5], "label": 0.5, "target_span": [0]}',
+     "target_span must be a list of 2 items, got [0]"),
+    ('{"tokens": [4, 5], "label": 0.5, "target_span": 5}',
+     "target_span must be a list of 2 items, got 5"),
+    ('{"tokens": [4, 5], "label": 0.5, "spans": [1]}', "spans[0] must be a list of 3 items"),
+    ('{"tokens": [4, 5], "label": NaN}', "invalid JSON: non-finite number NaN"),
+], ids=["target_span_short", "target_span_int", "spans_int", "label_nan"])
+def test_malformed_dataset_line_is_cli_error(tmp_path, capsys, line, message):
+    data = tmp_path / "train.jsonl"
+    data.write_text('{"tokens": [4, 5], "label": 0.5, "target_span": [0, 1]}\n' + line + "\n")
+    task = {"id": "j", "kind": "seq_regression", "metric": "rmse", "marker": "company",
+            "train": "train.jsonl"}
+    path = _write_config(tmp_path, data={"jsonl": [task]})
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data}:2: {message}")
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"num_classes": 3}, "head 'alpha' has num_classes 2, but the config's task has 3"),
+    ({"kind": "token_classification", "num_classes": 3},
+     "head 'alpha' has kind 'seq_classification', but the config's task has "
+     "'token_classification'"),
+], ids=["num_classes", "kind"])
+def test_checkpoint_head_unlike_config_task_is_cli_error(tmp_path, capsys, fields, message):
+    out = tmp_path / "run"
+    main(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)])
+    other = _write_config(tmp_path, "other.json", **_generator(**fields))
+    ckpt = str(out / "ckpt_final.spal")
+    for argv in (["eval"], ["analyze", "--out", str(tmp_path / "analysis")]):
+        capsys.readouterr()
+        assert main(argv + ["--config", str(other), "--checkpoint", ckpt]) == 1
+        assert capsys.readouterr().err == f"error: checkpoint {ckpt} {message}\n"
+    assert not (tmp_path / "analysis").exists()
+
+
+def test_ablating_to_one_task_with_rep_gen_writes_no_g_rows(tmp_path, capsys):
+    cfg = _write_config(tmp_path, analysis={"rep_gen": True, "snapshot_cadence": 4})
+    out = tmp_path / "ablate"
+    assert main(["ablate-tasks", "--config", str(cfg), "--order", "alpha",
+                 "--out", str(out)]) == 0
+    pair = (out / "stage0_alpha-beta" / "repgen.csv").read_text().splitlines()
+    assert pair[0] == "step,layer,G" and len(pair) > 1
+    assert (out / "stage1_beta" / "repgen.csv").read_text().splitlines() == ["step,layer,G"]
+
+
+def test_analyze_single_task_writes_no_g_rows(tmp_path):
+    gen = json.loads(json.dumps(GENERATOR))
+    del gen["tasks"][1]
+    cfg = _write_config(tmp_path, data={"generator": gen})
+    out, adir = tmp_path / "run", tmp_path / "analysis"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["analyze", "--config", str(cfg), "--checkpoint",
+                 str(out / "ckpt_final.spal"), "--out", str(adir)]) == 0
+    assert (adir / "repgen.csv").read_text().splitlines() == ["step,layer,G"]
+    assert read_matrix_csv(adir / "gradsim_step0.csv").labels == ["alpha"]

@@ -12,6 +12,7 @@ from spalmtl.tasks import COMPANY_MARKER_ID, TaskExample, TaskSpec
 
 CLS = TaskSpec(id="c", kind="seq_classification", metric="accuracy",
                num_classes=3)
+REG = TaskSpec(id="r", kind="seq_regression", metric="rmse")
 TOK = TaskSpec(id="t", kind="token_classification", metric="token_accuracy",
                num_classes=3, tag_names=("O", "B-E0", "I-E0"))
 
@@ -89,18 +90,30 @@ def test_out_of_range_class_label_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("spec,line,message", [
-    (CLS, '{"tokens": "abc", "label": 0}', "'tokens' must be a list of integers"),
-    (CLS, '{"tokens": [[5, 6], [7, 8]], "label": 0}', "'tokens' must be a list of integers"),
-    (CLS, '{"tokens": [5.7, 6], "label": 0}', "'tokens' must be a list of integers"),
-    (CLS, '{"tokens": [], "label": 0}', "'tokens' is empty"),
-    (CLS, '{"tokens": [4], "label": "x"}', "'label' must be an integer class"),
-    (CLS, '{"tokens": [4], "label": null}', "'label' must be an integer class"),
-    (CLS, '{"tokens": [4], "label": 1.9}', "'label' must be an integer class"),
+    (CLS, '{"tokens": "abc", "label": 0}', "tokens must be a list"),
+    (CLS, '{"tokens": [[5, 6], [7, 8]], "label": 0}', r"tokens\[0\] must be an integer"),
+    (CLS, '{"tokens": [5.7, 6], "label": 0}', r"tokens\[0\] must be an integer"),
+    (CLS, '{"tokens": [], "label": 0}', "tokens must hold a non-padding id"),
+    (CLS, '{"tokens": [4], "label": "x"}', "label must be an integer"),
+    (CLS, '{"tokens": [4], "label": null}', "label must be an integer"),
+    (CLS, '{"tokens": [4], "label": 1.9}', "label must be an integer"),
     (CLS, '{"tokens": [4], "label": 0, "latent": ["q"]}',
-     "'latent' must be a list of numbers"),
-    (TOK, '{"tokens": [4, 5], "label": [0, 1.5]}', "'label' must be a list of integers"),
+     r"latent\[0\] must be a number"),
+    (TOK, '{"tokens": [4, 5], "label": [0, 1.5]}', r"label\[1\] must be an integer"),
+    (CLS, '{"tokens": [0, 0], "label": 0}', "tokens must hold a non-padding id"),
+    (REG, '{"tokens": [4], "label": 3.5}', r"regression label 3.5 outside \[-1, 1\]"),
+    (REG, '{"tokens": [4], "label": NaN}', "invalid JSON: non-finite number NaN"),
+    (REG, '{"tokens": [4], "label": -1e400}', "invalid JSON: non-finite number -1e400"),
+    (CLS, '{"tokens": [4], "label": 0, "target_span": [0]}',
+     "target_span must be a list of 2 items"),
+    (CLS, '{"tokens": [4], "label": 0, "target_span": 5}',
+     "target_span must be a list of 2 items"),
+    (TOK, '{"tokens": [4], "label": [0], "spans": [1]}',
+     r"spans\[0\] must be a list of 3 items"),
 ], ids=["tokens_str", "tokens_2d", "tokens_float", "tokens_empty", "label_str",
-        "label_null", "label_float", "latent_str", "tag_float"])
+        "label_null", "label_float", "latent_str", "tag_float", "tokens_all_padding",
+        "regression_out_of_range", "label_nan", "label_overflow", "target_span_short",
+        "target_span_int", "spans_int"])
 def test_malformed_value_reports_line(tmp_path, spec, line, message):
     good = '{"tokens": [4], "label": [0]}' if spec is TOK else '{"tokens": [4], "label": 0}'
     path = tmp_path / "d.jsonl"

@@ -37,12 +37,14 @@ def test_spec_rejects_bad_combinations():
                  num_classes=3, tag_names=("O",))
 
 
-def test_regression_labels_clamped():
+def test_regression_labels_outside_unit_interval_rejected():
     spec = TaskSpec(id="r", kind="seq_regression", metric="rmse")
-    ex = validate_example(spec, TaskExample(token_ids=np.array([4]), label=3.7))
-    assert ex.label == 1.0
-    ex = validate_example(spec, TaskExample(token_ids=np.array([4]), label=-2.0))
-    assert ex.label == -1.0
+    for label in (3.7, -2.0, float("nan")):
+        with pytest.raises(DataError, match="outside \\[-1, 1\\]"):
+            validate_example(spec, TaskExample(token_ids=np.array([4]), label=label))
+    for label in (1, -1.0, 0.25):
+        ex = validate_example(spec, TaskExample(token_ids=np.array([4]), label=label))
+        assert type(ex.label) is float and ex.label == label
 
 
 def test_tag_length_mismatch_rejected():
