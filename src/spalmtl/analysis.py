@@ -47,11 +47,23 @@ class SimilarityMatrix:
     missing: list[tuple[str, str]]
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ContractError("cosine undefined for zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
+def _cosine_matrix(labels: list[str], vectors: list[np.ndarray]) -> SimilarityMatrix:
+    """Pairwise cosine similarities. A zero-norm vector has no cosine: its
+    entries are nan and its pairs are listed as missing."""
+    n = len(vectors)
+    mat = np.full((n, n), np.nan)
+    missing = []
+    norms = [np.linalg.norm(v) for v in vectors]
+    for i in range(n):
+        if norms[i] > 0:
+            mat[i, i] = 1.0
+        for j in range(i + 1, n):
+            if norms[i] == 0.0 or norms[j] == 0.0:
+                missing.append((labels[i], labels[j]))
+                continue
+            mat[i, j] = mat[j, i] = float(np.dot(vectors[i], vectors[j])
+                                          / (norms[i] * norms[j]))
+    return SimilarityMatrix(labels=labels, matrix=mat, missing=missing)
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +94,10 @@ def representation_generalization(summaries: list[RepSummary]) -> float:
     layers = {s.layer for s in summaries}
     if len(layers) != 1:
         raise ContractError("summaries must come from a single layer")
-    vals = []
-    for i in range(len(summaries)):
-        for j in range(i + 1, len(summaries)):
-            vals.append(cosine(summaries[i].vector, summaries[j].vector))
-    return float(np.mean(vals))
+    sim = _cosine_matrix([s.task_id for s in summaries], [s.vector for s in summaries])
+    if sim.missing:
+        raise ContractError(f"cosine undefined for zero-norm summary in {sim.missing}")
+    return float(np.mean(sim.matrix[np.triu_indices(len(summaries), 1)]))
 
 
 def rep_gen_at_layers(model: MtlModel, data: dict[str, TaskData],
@@ -146,41 +157,7 @@ def gradient_similarity_matrix(snapshots: list[GradientSnapshot]) -> SimilarityM
     lens = {s.vector.size for s in snapshots}
     if len(lens) != 1:
         raise ContractError("snapshots must share the parameter ordering")
-    labels = [s.task_id for s in snapshots]
-    n = len(snapshots)
-    mat = np.full((n, n), np.nan)
-    missing = []
-    norms = [np.linalg.norm(s.vector) for s in snapshots]
-    for i in range(n):
-        if norms[i] > 0:
-            mat[i, i] = 1.0
-        for j in range(i + 1, n):
-            if norms[i] == 0.0 or norms[j] == 0.0:
-                missing.append((labels[i], labels[j]))
-                continue
-            c = float(np.dot(snapshots[i].vector, snapshots[j].vector)
-                      / (norms[i] * norms[j]))
-            mat[i, j] = mat[j, i] = c
-    return SimilarityMatrix(labels=labels, matrix=mat, missing=missing)
-
-
-def skill_level_similarity(sim: SimilarityMatrix,
-                           skills: dict[str, str]) -> dict[str, float]:
-    """Mean intra-skill vs inter-skill similarity from a task->skill map."""
-    intra, inter = [], []
-    for i, a in enumerate(sim.labels):
-        for j in range(i + 1, len(sim.labels)):
-            b = sim.labels[j]
-            v = sim.matrix[i, j]
-            if np.isnan(v):
-                continue
-            (intra if skills.get(a) == skills.get(b) else inter).append(v)
-    out = {}
-    if intra:
-        out["intra_skill"] = float(np.mean(intra))
-    if inter:
-        out["inter_skill"] = float(np.mean(inter))
-    return out
+    return _cosine_matrix([s.task_id for s in snapshots], [s.vector for s in snapshots])
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +193,6 @@ def text_embedding(model: MtlModel, examples: list) -> np.ndarray:
 
 
 def embedding_similarity_matrix(vectors: dict[str, np.ndarray]) -> SimilarityMatrix:
-    snaps = [GradientSnapshot(task_id=k, step=0, vector=v)
-             for k, v in sorted(vectors.items())]
-    return gradient_similarity_matrix(snaps)
+    """Pairwise cosine similarities, labels in sorted order."""
+    labels = sorted(vectors)
+    return _cosine_matrix(labels, [vectors[k] for k in labels])

@@ -11,7 +11,7 @@ Only values that lead back to a trainable ``Param`` are recorded:
 ``Tensor.__init__`` keeps a pair only when its input requires a gradient
 (a Param's ``trainable`` flag, or for any other tensor, any recorded
 input), so a frozen weight's gradient is never formed. Under
-``no_graph()`` (per thread) every op returns a constant; evaluation and
+``no_graph()`` every op returns a constant; evaluation and
 the diagnostics run there.
 
 Values carry a leading batch axis: ``matmul`` applies a shared weight to
@@ -23,7 +23,6 @@ finite however far apart the logits are.
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -40,7 +39,6 @@ __all__ = [
     "matmul",
     "add",
     "add_bias",
-    "neg",
     "sub",
     "scale",
     "add_const",
@@ -57,24 +55,23 @@ __all__ = [
     "embedding",
     "pick",
     "masked_mean_rows",
-    "tsum",
     "tmean",
 ]
 
-_mode = threading.local()
+_graph = True  # False inside no_graph()
 
 Vjp = Callable[[np.ndarray], np.ndarray]
 
 
 @contextmanager
 def no_graph():
-    """Record nothing in this thread: every op returns a constant."""
-    prev = getattr(_mode, "graph", True)
-    _mode.graph = False
+    """Record nothing: every op returns a constant."""
+    global _graph
+    prev, _graph = _graph, False
     try:
         yield
     finally:
-        _mode.graph = prev
+        _graph = prev
 
 
 class Tensor:
@@ -85,7 +82,7 @@ class Tensor:
     def __init__(self, data, parents: Sequence[tuple["Tensor", Vjp]] = ()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        if parents and getattr(_mode, "graph", True):
+        if parents and _graph:
             self._parents = tuple(pair for pair in parents if pair[0].requires_grad)
         else:
             self._parents = ()
@@ -98,9 +95,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -205,12 +199,11 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
                   ((x, _same), (b, lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0))))
 
 
-def neg(x: Tensor) -> Tensor:
-    return Tensor(-x.data, ((x, np.negative),))
-
-
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, neg(b))
+    """Elementwise difference of two same-shape tensors."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"sub shapes disagree: {a.data.shape} vs {b.data.shape}")
+    return Tensor(a.data - b.data, ((a, _same), (b, np.negative)))
 
 
 def scale(x: Tensor, s: float) -> Tensor:
@@ -350,10 +343,6 @@ def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:
     keep = mask[..., None]
     return Tensor(np.where(keep, x.data, 0.0).sum(axis=1) / n,
                   ((x, lambda g: np.where(keep, (g / n)[:, None, :], 0.0)),))
-
-
-def tsum(x: Tensor) -> Tensor:
-    return Tensor(np.array(x.data.sum()), ((x, _same),))
 
 
 def tmean(x: Tensor) -> Tensor:

@@ -83,22 +83,15 @@ class Backbone:
         self.config = config
         self.params = params
 
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     def set_trainable(self, trainable: bool) -> None:
         for p in self.params.values():
             p.trainable = trainable
-
-    @property
-    def frozen(self) -> bool:
-        return not any(p.trainable for p in self.params.values())
 
 
 def backbone_param_count(config: BackboneConfig) -> int:
     """Closed-form total parameter count for a config, without instantiating.
 
-    Must equal Backbone.param_count() of an initialized model; the big
+    Must equal the summed tensor sizes of an initialized backbone; the big
     full-size bert-base preset is only ever counted, never allocated, in tests.
     """
     d, ff, L = config.model_dim, config.ff_dim, config.num_layers

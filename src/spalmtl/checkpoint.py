@@ -130,8 +130,7 @@ def save_checkpoint(model: MtlModel, path,
                 _write_array(f, optimizer.v[name])
 
 
-def load_checkpoint(path, expected_config: dict | None = None
-                    ) -> tuple[MtlModel, OptimizerState | None]:
+def load_checkpoint(path) -> tuple[MtlModel, OptimizerState | None]:
     with open(path, "rb") as f:
         magic = _read(f, 4)
         if magic != MAGIC:
@@ -150,10 +149,6 @@ def load_checkpoint(path, expected_config: dict | None = None
         config = header["config"]
         if config_digest(config) != header.get("digest"):
             raise CheckpointDigestError("stored digest does not match stored config")
-        if expected_config is not None and \
-                config_digest(expected_config) != header.get("digest"):
-            raise CheckpointDigestError(
-                "checkpoint config digest does not match the expected config")
 
         model = _build_from_config(config)
         params = model.all_params()

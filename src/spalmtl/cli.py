@@ -12,7 +12,7 @@ from pathlib import Path
 from . import analysis as an
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataio import from_json, read_json, save_jsonl_dataset
-from .engine import (RunRecord, TrainPlan, aggregate_seeds, evaluate_task,
+from .engine import (RunRecord, aggregate_seeds, evaluate_task,
                      run_training, transfer_finetune)
 from .errors import ConfigError, SpalMtlError
 from .model import MtlModel

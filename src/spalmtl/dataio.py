@@ -4,7 +4,9 @@ Every JSON input (run configs, generator specs, checkpoint headers, dataset
 lines) is parsed by `parse_json`, which rejects non-finite numbers, and read
 through a dataclass by `from_json`. A dataset file holds one object per line:
 {"tokens": [...], "label": ...} plus optional "target_span", "spans" and
-"latent" (generator provenance). Bad lines are reported as `path:line`.
+"latent" (generator provenance). Bad lines, including ids outside the
+backbone's vocabulary or longer than its `max_seq_len`, are reported as
+`path:line`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .backbone import BackboneConfig
 from .errors import ConfigError, DataError, SpalMtlError
 from .tasks import TaskExample, TaskSpec, insert_target_markers, validate_example
 
@@ -111,7 +114,7 @@ _LINES = {kind: dataclasses.make_dataclass("Line", [
                         ("token_classification", list[int]))}
 
 
-def load_jsonl_dataset(path, spec: TaskSpec,
+def load_jsonl_dataset(path, spec: TaskSpec, backbone: BackboneConfig,
                        marker_kind: str | None = None) -> list[TaskExample]:
     path = Path(path)
     try:
@@ -129,6 +132,14 @@ def load_jsonl_dataset(path, spec: TaskSpec,
             if marker_kind is not None and ex.target_span is not None:
                 ex.token_ids = insert_target_markers(
                     ex.token_ids, ex.target_span, marker_kind)
+            ids = ex.token_ids
+            if ids.size > backbone.max_seq_len:
+                raise DataError(f"{ids.size} tokens exceed the backbone's "
+                                f"max_seq_len {backbone.max_seq_len}")
+            bad = ids[(ids < 0) | (ids >= backbone.vocab_size)]
+            if bad.size:
+                raise DataError(f"token id {bad[0]} outside the backbone's vocabulary "
+                                f"0..{backbone.vocab_size - 1}")
             examples.append(validate_example(spec, ex))
         except (SpalMtlError, OverflowError) as e:  # an id beyond int64
             raise DataError(f"{path}:{lineno}: {e}") from e

@@ -34,7 +34,7 @@ class CheckpointVersionError(CheckpointError):
 
 
 class CheckpointDigestError(CheckpointError):
-    """Config digest in the file does not match the expected one."""
+    """Config digest in the file does not match the stored config."""
 
 
 class CheckpointTruncatedError(CheckpointError):

@@ -102,12 +102,9 @@ class MtlModel:
         trunk = self.trunk_params()
         return [trunk[k] for k in sorted(trunk) if trunk[k].trainable]
 
-    def shared_trainable_size(self) -> int:
-        return sum(p.data.size for p in self.shared_trainable_params())
-
     def zero_grads(self) -> None:
         for p in self.all_params().values():
-            p.zero_grad()
+            p.grad = None
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of the trainable params: all that training can change."""

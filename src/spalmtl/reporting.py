@@ -57,16 +57,6 @@ def write_matrix_csv(sim: SimilarityMatrix, path: Path) -> Path:
                        for i, label in enumerate(sim.labels)))
 
 
-def read_matrix_csv(path) -> SimilarityMatrix:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0][0] != "task":
-        raise SpalMtlError(f"{path}: not a similarity-matrix CSV")
-    labels = rows[0][1:]
-    mat = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    return SimilarityMatrix(labels=labels, matrix=mat, missing=[])
-
-
 def write_gradsim_csvs(matrices: dict[int, SimilarityMatrix], outdir: Path) -> list[Path]:
     return [write_matrix_csv(m, outdir / f"gradsim_step{step}.csv")
             for step, m in sorted(matrices.items())]

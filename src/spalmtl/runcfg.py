@@ -63,6 +63,13 @@ class RunConfig:
     def __post_init__(self):
         if self.spal_hidden is not None:  # positive and a multiple of the heads
             count_spal_params(SpalConfig(self.spal_hidden), self.backbone)
+        gen, bb = self.generator, self.backbone
+        if gen is not None and gen.vocab_size > bb.vocab_size:
+            raise ConfigError(f"data.generator.vocab_size {gen.vocab_size} exceeds "
+                              f"the backbone's vocab_size {bb.vocab_size}")
+        if gen is not None and gen.seq_len[1] > bb.max_seq_len:
+            raise ConfigError(f"data.generator.seq_len {list(gen.seq_len)} exceeds "
+                              f"the backbone's max_seq_len {bb.max_seq_len}")
 
     def build_data(self) -> dict[str, TaskData]:
         if self.generator is not None:
@@ -74,7 +81,8 @@ class RunConfig:
             for name in ("train", "dev", "test"):
                 path = getattr(t, name)
                 splits[name] = load_jsonl_dataset(
-                    self.base_dir / path, spec, marker_kind=t.marker) if path else []
+                    self.base_dir / path, spec, self.backbone,
+                    marker_kind=t.marker) if path else []
             out[spec.id] = TaskData(spec=spec, **splits)
         return out
 

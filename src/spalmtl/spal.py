@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Param, Tensor
-from .backbone import Backbone, BackboneConfig, multi_head_attention
+from .backbone import Backbone, BackboneConfig, backbone_param_count, multi_head_attention
 from .errors import ConfigError
 
 
@@ -36,9 +36,6 @@ class SpalStack:
         self.config = config
         self.num_heads = num_heads
         self.params = params
-
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
 
     def forward(self, layer: int, x: Tensor, mask: np.ndarray) -> Tensor:
         p = self.params
@@ -84,9 +81,6 @@ def count_spal_params(config: SpalConfig, backbone: BackboneConfig) -> int:
     return backbone.num_layers * (4 * h * h + 2 * h * d)
 
 
-def capacity_fraction(config: SpalConfig, backbone: BackboneConfig | Backbone) -> float:
+def capacity_fraction(config: SpalConfig, backbone: BackboneConfig) -> float:
     """Trainable SPAL parameters as a fraction of total backbone parameters."""
-    if isinstance(backbone, Backbone):
-        return count_spal_params(config, backbone.config) / backbone.param_count()
-    from .backbone import backbone_param_count
     return count_spal_params(config, backbone) / backbone_param_count(backbone)

@@ -130,13 +130,6 @@ def insert_target_markers(token_ids, span: tuple[int, int], marker_kind: str):
     return np.concatenate([ids[:start], [m], ids[start:end + 1], [m], ids[end + 1:]])
 
 
-def strip_target_markers(token_ids):
-    """Remove all marker tokens; inverse of insert_target_markers."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    keep = (ids != COMPANY_MARKER_ID) & (ids != NUMBER_MARKER_ID)
-    return ids[keep]
-
-
 def spans_to_bio(length: int, spans: list[tuple[int, int, str]]) -> list[str]:
     """Inclusive (start, end, label) spans -> BIO tag strings."""
     tags = ["O"] * length

@@ -1,10 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
 
+from spalmtl import autodiff as ad
+from spalmtl.analysis import SimilarityMatrix
 from spalmtl.backbone import BackboneConfig
 from spalmtl.model import MtlModel
 from spalmtl.synthdata import GeneratorSpec, SynthTaskSpec, gen_synthetic_suite
-from spalmtl.tasks import TaskSpec
+from spalmtl.tasks import MARKER_IDS, TaskSpec
 
 
 TINY = BackboneConfig(num_layers=2, model_dim=8, num_heads=2, ff_dim=16,
@@ -31,6 +35,26 @@ def copy_all_params(model) -> dict[str, np.ndarray]:
     """A copy of every parameter, frozen ones included (``MtlModel.snapshot``
     copies only the trainable ones)."""
     return {k: p.data.copy() for k, p in model.all_params().items()}
+
+
+def tsum(x: ad.Tensor) -> ad.Tensor:
+    """Scalar sum of a tensor: a test loss whose gradient is all ones."""
+    return ad.Tensor(np.array(x.data.sum()), ((x, lambda g: g),))
+
+
+def strip_target_markers(token_ids) -> np.ndarray:
+    """Remove all marker tokens; inverse of ``tasks.insert_target_markers``."""
+    ids = np.asarray(token_ids, dtype=np.int64)
+    return ids[~np.isin(ids, list(MARKER_IDS.values()))]
+
+
+def read_matrix_csv(path) -> SimilarityMatrix:
+    """Read back a CSV written by ``reporting.write_matrix_csv``."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows and rows[0][0] == "task", f"{path}: not a similarity-matrix CSV"
+    mat = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+    return SimilarityMatrix(labels=rows[0][1:], matrix=mat, missing=[])
 
 
 def grads_close(fd: np.ndarray, g: np.ndarray, rtol: float = 1e-4,

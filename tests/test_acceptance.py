@@ -19,13 +19,12 @@ from spalmtl.engine import (Batch, TrainPlan, build_mixed_batches, build_stream,
                             evaluate_task, run_training, train_step)
 from spalmtl.model import MtlModel
 from spalmtl.optim import OptimizerState
-from spalmtl.reporting import read_matrix_csv
 from spalmtl.spal import SpalConfig, capacity_fraction, count_spal_params
 from spalmtl.synthdata import (GeneratorSpec, SynthTaskSpec,
                                findata_shaped_suite, gen_synthetic_suite)
 from spalmtl.tasks import TaskSpec, head_forward, task_loss
 
-from conftest import copy_all_params
+from conftest import copy_all_params, read_matrix_csv
 
 
 def _passed(n: int, desc: str) -> None:

@@ -79,6 +79,11 @@ def test_generalization_matches_brute_force_six_pairs():
     assert len(pair_vals) == 6
     assert g == pytest.approx(sum(pair_vals) / 6, abs=1e-12)
     assert -1.0 <= g <= 1.0
+    # the mean of the numpy cosines, pair by pair in row-major order, to the bit
+    loop = [float(np.dot(vecs[i], vecs[j])
+                  / (np.linalg.norm(vecs[i]) * np.linalg.norm(vecs[j])))
+            for i in range(4) for j in range(i + 1, 4)]
+    assert g.hex() == float(np.mean(loop)).hex()
 
 
 def test_generalization_requires_single_layer():
@@ -88,6 +93,13 @@ def test_generalization_requires_single_layer():
         an.representation_generalization(mixed)
     with pytest.raises(ContractError):
         an.representation_generalization([an.RepSummary("a", 1, v)])
+
+
+def test_generalization_zero_norm_summary_is_contract_error():
+    sums = [an.RepSummary("a", 1, np.ones(3)), an.RepSummary("b", 1, np.zeros(3)),
+            an.RepSummary("c", 1, np.ones(3))]
+    with pytest.raises(ContractError, match="zero-norm"):
+        an.representation_generalization(sums)
 
 
 def test_rep_gen_at_layers_matches_manual():
@@ -136,12 +148,9 @@ def test_cosine_matches_scalar_oracle():
         num = sum(float(x * y) for x, y in zip(a, b))
         na = math.sqrt(sum(float(x * x) for x in a))
         nb = math.sqrt(sum(float(y * y) for y in b))
-        assert an.cosine(a, b) == pytest.approx(num / (na * nb), abs=1e-12)
-
-
-def test_cosine_zero_norm_is_contract_error():
-    with pytest.raises(ContractError):
-        an.cosine(np.zeros(3), np.ones(3))
+        sim = an.embedding_similarity_matrix({"a": a, "b": b})
+        assert sim.matrix[0, 1] == sim.matrix[1, 0]
+        assert sim.matrix[0, 1] == pytest.approx(num / (na * nb), abs=1e-12)
 
 
 def test_snapshot_leaves_model_and_grads_untouched():
@@ -152,7 +161,7 @@ def test_snapshot_leaves_model_and_grads_untouched():
                                      data["alpha"].train, step=7)
     after = copy_all_params(model)
     assert snap.step == 7
-    assert snap.vector.size == model.shared_trainable_size()
+    assert snap.vector.size == sum(p.data.size for p in model.shared_trainable_params())
     for name in before:
         assert np.array_equal(before[name], after[name]), name
     assert all(p.grad is None for p in model.all_params().values())
@@ -290,15 +299,6 @@ def test_snapshots_must_share_step_and_length():
                                        an.GradientSnapshot("b", 0, np.ones(4))])
 
 
-def test_skill_level_similarity_partitions_pairs():
-    labels = ["a", "b", "c"]
-    mat = np.array([[1.0, 0.8, 0.2], [0.8, 1.0, 0.4], [0.2, 0.4, 1.0]])
-    sim = an.SimilarityMatrix(labels=labels, matrix=mat, missing=[])
-    out = an.skill_level_similarity(sim, {"a": "s1", "b": "s1", "c": "s2"})
-    assert out["intra_skill"] == pytest.approx(0.8)
-    assert out["inter_skill"] == pytest.approx(0.3)
-
-
 # -- probing -----------------------------------------------------------------
 
 def test_probe_weights_start_at_half():
@@ -364,7 +364,8 @@ def test_constant_loss_task_embedding_is_zero():
                               model.heads["flat"]).data[0])
     flat_ex = TaskExample(token_ids=ex.token_ids.copy(), label=pred)
     emb = an.task_embedding(model, spec, [flat_ex])
-    assert np.array_equal(emb, np.zeros(model.shared_trainable_size()))
+    assert np.array_equal(emb, np.zeros(sum(p.data.size
+                                            for p in model.shared_trainable_params())))
 
 
 def test_task_embedding_matches_squared_finite_differences():
@@ -410,7 +411,8 @@ def test_text_embedding_single_example_and_self_cosine():
     enc = model.encode(ex.token_ids[None])
     pooled = enc.final().data[enc.attention_mask].mean(axis=0)
     assert np.array_equal(emb, pooled)
-    assert an.cosine(emb, an.text_embedding(model, [ex])) == pytest.approx(1.0)
+    sim = an.embedding_similarity_matrix({"a": emb, "b": an.text_embedding(model, [ex])})
+    assert sim.matrix[0, 1] == pytest.approx(1.0)
 
 
 def test_text_embedding_two_example_oracle():

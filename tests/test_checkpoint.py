@@ -89,7 +89,7 @@ def test_freeze_flags_round_trip(tmp_path):
     model.backbone.set_trainable(False)
     save_checkpoint(model, tmp_path / "m.spal")
     loaded, _ = load_checkpoint(tmp_path / "m.spal")
-    assert loaded.backbone.frozen
+    assert not any(p.trainable for p in loaded.backbone.params.values())
     assert all(p.trainable for p in loaded.spals.params.values())
 
 
@@ -121,8 +121,12 @@ def test_digest_mismatch_rejected(tmp_path):
     save_checkpoint(model, path)
     other = model_config(model)
     other["spal_hidden"] = 8
+    raw = path.read_bytes()
+    stored = config_digest(model_config(model)).encode()
+    assert raw.count(stored) == 1
+    path.write_bytes(raw.replace(stored, config_digest(other).encode()))
     with pytest.raises(CheckpointDigestError):
-        load_checkpoint(path, expected_config=other)
+        load_checkpoint(path)
 
 
 def test_tampered_header_fails_digest(tmp_path):
@@ -197,14 +201,6 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(raw[:len(raw) // 2])
     with pytest.raises(CheckpointTruncatedError):
         load_checkpoint(path)
-
-
-def test_matching_expected_config_accepted(tmp_path):
-    model = _random_model(10)
-    path = tmp_path / "m.spal"
-    save_checkpoint(model, path)
-    loaded, _ = load_checkpoint(path, expected_config=model_config(model))
-    _assert_models_equal(model, loaded)
 
 
 def test_config_digest_is_key_order_independent():

@@ -12,8 +12,9 @@ from spalmtl.checkpoint import config_digest, load_checkpoint
 from spalmtl.cli import build_parser, main
 from spalmtl.engine import run_training
 from spalmtl.errors import ConfigError
-from spalmtl.reporting import read_matrix_csv
 from spalmtl.runcfg import load_run_config, parse_run_config
+
+from conftest import read_matrix_csv
 
 BACKBONE = {"num_layers": 2, "model_dim": 8, "num_heads": 2, "ff_dim": 16,
             "vocab_size": 128, "max_seq_len": 16}
@@ -281,6 +282,10 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
     ({"spal_hidden": 3}, "spal_hidden 3 not divisible by the backbone's num_heads 2"),
     ({"data": {"generator": GENERATOR, "jsonl": [JSONL_TASK]}},
      "data takes 'generator' or 'jsonl', not both"),
+    (_generator(vocab_size=200, task=False),
+     "data.generator.vocab_size 200 exceeds the backbone's vocab_size 128"),
+    (_generator(seq_len=[6, 20], task=False),
+     "data.generator.seq_len [6, 20] exceeds the backbone's max_seq_len 16"),
 ], ids=["layer0", "layer9", "cadence0", "epochs_str", "seed_negative",
         "warmup_negative", "lr_negative", "decay_negative", "sizes_short",
         "sizes_float", "relatedness_str", "batch_size_str", "num_classes_float",
@@ -290,7 +295,8 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
         "gen_kind_unknown", "jsonl_task_int", "jsonl_batch_size_str",
         "jsonl_num_classes_str", "jsonl_train_int", "rep_gen_int", "out_dir_int",
         "layers_bool", "spal_hidden_0", "spal_hidden_negative",
-        "spal_hidden_indivisible", "data_both"])
+        "spal_hidden_indivisible", "data_both", "gen_vocab_above_backbone",
+        "gen_seq_len_above_backbone"])
 def test_invalid_run_config_is_cli_error(tmp_path, capsys, overrides, message):
     path = _write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1
@@ -466,7 +472,10 @@ def test_non_finite_config_number_is_cli_error(tmp_path, capsys, literal):
      "target_span must be a list of 2 items, got 5"),
     ('{"tokens": [4, 5], "label": 0.5, "spans": [1]}', "spans[0] must be a list of 3 items"),
     ('{"tokens": [4, 5], "label": NaN}', "invalid JSON: non-finite number NaN"),
-], ids=["target_span_short", "target_span_int", "spans_int", "label_nan"])
+    ('{"tokens": [4, 128], "label": 0.5}',
+     "token id 128 outside the backbone's vocabulary 0..127"),
+], ids=["target_span_short", "target_span_int", "spans_int", "label_nan",
+        "token_above_vocab"])
 def test_malformed_dataset_line_is_cli_error(tmp_path, capsys, line, message):
     data = tmp_path / "train.jsonl"
     data.write_text('{"tokens": [4, 5], "label": 0.5, "target_span": [0, 1]}\n' + line + "\n")

@@ -9,9 +9,9 @@ from spalmtl.checkpoint import load_checkpoint, save_checkpoint
 from spalmtl.engine import Batch, train_step
 from spalmtl.model import MtlModel
 from spalmtl.optim import OptimizerState, lr_at
-from spalmtl.tasks import (TaskSpec, insert_target_markers, strip_target_markers)
+from spalmtl.tasks import TaskSpec, insert_target_markers
 
-from conftest import TINY, copy_all_params, two_task_suite
+from conftest import TINY, copy_all_params, strip_target_markers, two_task_suite
 
 
 @settings(max_examples=25, deadline=None)

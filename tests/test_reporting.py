@@ -4,8 +4,10 @@ import numpy as np
 
 from spalmtl.analysis import SimilarityMatrix
 from spalmtl.engine import RunRecord
-from spalmtl.reporting import (emit_metrics, read_matrix_csv, write_matrix_csv,
+from spalmtl.reporting import (emit_metrics, write_matrix_csv,
                                write_repgen_csv, write_run_json)
+
+from conftest import read_matrix_csv
 
 
 def _record():

@@ -64,7 +64,8 @@ def test_param_counts_on_replica_geometry():
 def test_count_matches_enumeration():
     bb = init_backbone(TINY, seed=0)
     spals = attach_spals(bb, SpalConfig(6), seed=0)
-    assert spals.param_count() == count_spal_params(SpalConfig(6), TINY)
+    by_hand = sum(p.data.size for p in spals.params.values())
+    assert by_hand == count_spal_params(SpalConfig(6), TINY)
 
 
 def test_capacity_fractions():
@@ -77,9 +78,9 @@ def test_capacity_fractions():
 def test_capacity_fraction_toy_hand_ratio():
     cfg = SpalConfig(4)
     bb = init_backbone(TINY, seed=0)
-    expected = count_spal_params(cfg, TINY) / bb.param_count()
+    by_hand = sum(p.data.size for p in bb.params.values())
+    expected = count_spal_params(cfg, TINY) / by_hand
     assert capacity_fraction(cfg, TINY) == pytest.approx(expected, abs=1e-15)
-    assert capacity_fraction(cfg, bb) == pytest.approx(expected, abs=1e-15)
 
 
 def test_forward_matches_scalar_attention_oracle():

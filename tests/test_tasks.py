@@ -12,10 +12,9 @@ from spalmtl.errors import ConfigError, ContractError, DataError
 from spalmtl.tasks import (COMPANY_MARKER_ID, NUMBER_MARKER_ID, Head, TaskExample,
                            TaskSpec, bio_to_spans, entity_macro_f1, better,
                            head_forward, insert_target_markers, spans_to_bio,
-                           strip_target_markers, task_loss, task_metric,
-                           validate_example)
+                           task_loss, task_metric, validate_example)
 
-from conftest import fd_gradient, grads_close
+from conftest import fd_gradient, grads_close, strip_target_markers
 
 
 def _encoding(x: np.ndarray, mask=None) -> Encoding:
