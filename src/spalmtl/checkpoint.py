@@ -1,20 +1,21 @@
 """Versioned binary checkpoint container.
 
-Layout (all integers little-endian):
+Layout (integers little-endian):
 
     4s    magic b"SPAL"
-    u32   format version
+    u32   format version (2)
     u32   header length, then that many bytes of UTF-8 JSON:
-          {"config": {...}, "digest": sha256-hex of the canonical config JSON}
-    u32   tensor count, then per tensor:
-          u16 name length, name bytes, u8 trainable flag, u8 ndim,
-          u32 dims..., raw float64 data
-    u8    optimizer-state flag; if set: u64 step, f64 base_lr, u32 warmup,
-          u32 total_steps, f64 weight_decay, u32 moment-pair count, then per
-          pair: u16 name length, name, u8 ndim, u32 dims..., m data, v data
+          {"config": {...}, "digest": sha256-hex of the canonical config JSON,
+           "tensors": [[name, [dims...], trainable], ...] in name order,
+           "optimizer": null or {"step", "base_lr", "warmup_steps",
+                         "total_steps", "weight_decay", "moments": [name, ...]}}
+    then raw little-endian float64: each tensor in header order, then each
+    named moment's m and v, shaped like its tensor; nothing after.
 
-Round trips are bit-exact; the version is checked before any tensor bytes
-are read.
+The header is read through `ModelConfig` and `Layout` like every JSON input,
+and its table must list each tensor of the config-built model once, at its
+shape. Round trips are bit-exact. The version is checked before anything
+else is read; files of any other version (v1 included) are refused.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .optim import OptimizerState
 from .tasks import TaskSpec
 
 MAGIC = b"SPAL"
-VERSION = 1
+VERSION = 2
 
 
 def config_digest(config: dict) -> str:
@@ -52,6 +53,28 @@ class ModelConfig:
     spal_hidden: int | None
     probe: bool
     tasks: tuple[TaskSpec, ...]
+
+
+@dataclass(frozen=True)
+class OptimizerHeader:
+    """The header's "optimizer" entry: AdamW's scalars, and the tensors
+    whose moments follow the tensors' data."""
+
+    step: int
+    base_lr: float
+    warmup_steps: int
+    total_steps: int
+    weight_decay: float
+    moments: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Layout:
+    """The header's entries besides the config and its digest: what the
+    body holds, in order."""
+
+    tensors: tuple[tuple[str, tuple[int, ...], bool], ...]
+    optimizer: OptimizerHeader | None
 
 
 def model_config(model: MtlModel) -> dict:
@@ -70,132 +93,104 @@ def _read(f: BinaryIO, n: int) -> bytes:
     return data
 
 
-def _read_name(f: BinaryIO) -> str:
-    try:
-        return _read(f, struct.unpack("<H", _read(f, 2))[0]).decode()
-    except UnicodeDecodeError as e:
-        raise CheckpointFormatError(f"tensor name is not UTF-8: {e}") from e
-
-
-def _write_array(f: BinaryIO, arr: np.ndarray) -> None:
-    f.write(struct.pack("<B", arr.ndim))
-    for d in arr.shape:
-        f.write(struct.pack("<I", d))
-    f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_array(f: BinaryIO) -> np.ndarray:
-    (ndim,) = struct.unpack("<B", _read(f, 1))
-    shape = tuple(struct.unpack("<I", _read(f, 4))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    raw = _read(f, count * 8)
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+def _read_into(f: BinaryIO, arr: np.ndarray) -> np.ndarray:
+    """`arr` filled in place from the next `arr.nbytes` bytes, which hold
+    little-endian float64."""
+    arr = arr.view("<f8")
+    got = f.readinto(arr)
+    if got != arr.nbytes:
+        raise CheckpointTruncatedError(
+            f"expected {arr.nbytes} bytes, got {got}: file is truncated")
+    return arr
 
 
 def save_checkpoint(model: MtlModel, path,
                     optimizer: OptimizerState | None = None) -> None:
     config = model_config(model)
-    header = {"config": config, "digest": config_digest(config)}
-    header_bytes = json.dumps(header, sort_keys=True).encode()
     params = model.all_params()
+    names = sorted(params)
+    arrays = [params[name].data for name in names]
+    header = {"config": config, "digest": config_digest(config),
+              "tensors": [[name, list(params[name].data.shape), params[name].trainable]
+                          for name in names],
+              "optimizer": None}
+    if optimizer is not None:
+        moments = sorted(optimizer.m)
+        arrays += [a for name in moments for a in (optimizer.m[name], optimizer.v[name])]
+        header["optimizer"] = {
+            "step": optimizer.step, "base_lr": optimizer.base_lr,
+            "warmup_steps": optimizer.warmup_steps,
+            "total_steps": optimizer.total_steps,
+            "weight_decay": optimizer.weight_decay, "moments": moments}
+    header_bytes = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(header_bytes)))
+        f.write(MAGIC + struct.pack("<II", VERSION, len(header_bytes)))
         f.write(header_bytes)
-        f.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            p = params[name]
-            nb = name.encode()
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", 1 if p.trainable else 0))
-            _write_array(f, p.data)
-        if optimizer is None:
-            f.write(struct.pack("<B", 0))
-        else:
-            f.write(struct.pack("<B", 1))
-            f.write(struct.pack("<Q", optimizer.step))
-            f.write(struct.pack("<d", optimizer.base_lr))
-            f.write(struct.pack("<I", optimizer.warmup_steps))
-            f.write(struct.pack("<I", optimizer.total_steps))
-            f.write(struct.pack("<d", optimizer.weight_decay))
-            names = sorted(optimizer.m)
-            f.write(struct.pack("<I", len(names)))
-            for name in names:
-                nb = name.encode()
-                f.write(struct.pack("<H", len(nb)))
-                f.write(nb)
-                _write_array(f, optimizer.m[name])
-                _write_array(f, optimizer.v[name])
+        for arr in arrays:  # written through the array's buffer: no copy
+            f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path) -> tuple[MtlModel, OptimizerState | None]:
     with open(path, "rb") as f:
-        magic = _read(f, 4)
+        magic, version, hlen = struct.unpack("<4sII", _read(f, 12))
         if magic != MAGIC:
             raise CheckpointFormatError(f"bad magic bytes {magic!r}")
-        (version,) = struct.unpack("<I", _read(f, 4))
         if version != VERSION:
             raise CheckpointVersionError(
                 f"unsupported checkpoint version {version} (expected {VERSION})")
-        (hlen,) = struct.unpack("<I", _read(f, 4))
         try:
             header = parse_json(_read(f, hlen))
         except ConfigError as e:
             raise CheckpointFormatError(f"unparseable header: {e}") from e
         if not isinstance(header, dict) or "config" not in header:
             raise CheckpointFormatError("checkpoint header has no 'config' entry")
-        config = header["config"]
-        if config_digest(config) != header.get("digest"):
+        config, digest = header.pop("config"), header.pop("digest", None)
+        if config_digest(config) != digest:
             raise CheckpointDigestError("stored digest does not match stored config")
+        try:
+            mc = from_json(ModelConfig, config, "checkpoint config")
+            layout = from_json(Layout, header, "checkpoint header")
+            model = MtlModel.build(mc.backbone, list(mc.tasks), spal_hidden=mc.spal_hidden,
+                                   seed=0, freeze_backbone=False, probe=mc.probe)
+        except ConfigError as e:
+            raise CheckpointFormatError(str(e)) from e
 
-        model = _build_from_config(config)
         params = model.all_params()
-        seen: set[str] = set()
-        (n_tensors,) = struct.unpack("<I", _read(f, 4))
-        for _ in range(n_tensors):
-            name = _read_name(f)
-            (trainable,) = struct.unpack("<B", _read(f, 1))
-            arr = _read_array(f)
-            if name not in params:
-                raise CheckpointFormatError(f"unknown tensor {name!r} in checkpoint")
-            if name in seen:
-                raise CheckpointFormatError(f"tensor {name!r} appears twice in checkpoint")
-            seen.add(name)
-            p = params[name]
-            if p.data.shape != arr.shape:
-                raise CheckpointFormatError(
-                    f"tensor {name!r} shape {arr.shape} != expected {p.data.shape}")
-            p.data = arr
-            p.trainable = bool(trainable)
-        missing = sorted(set(params) - seen)
-        if missing:
-            raise CheckpointFormatError(f"checkpoint lacks tensor(s) {missing}")
+        _check_table(layout.tensors, params)
+        for name, _, trainable in layout.tensors:
+            params[name].data = _read_into(f, params[name].data)
+            params[name].trainable = trainable
 
-        (has_opt,) = struct.unpack("<B", _read(f, 1))
         optimizer = None
-        if has_opt:
-            (step,) = struct.unpack("<Q", _read(f, 8))
-            (base_lr,) = struct.unpack("<d", _read(f, 8))
-            (warmup,) = struct.unpack("<I", _read(f, 4))
-            (total,) = struct.unpack("<I", _read(f, 4))
-            (wd,) = struct.unpack("<d", _read(f, 8))
+        if (opt := layout.optimizer) is not None:
             optimizer = OptimizerState(
-                total_steps=total, base_lr=base_lr, warmup_steps=warmup,
-                weight_decay=wd, step=step)
-            (n_pairs,) = struct.unpack("<I", _read(f, 4))
-            for _ in range(n_pairs):
-                name = _read_name(f)
-                optimizer.m[name] = _read_array(f)
-                optimizer.v[name] = _read_array(f)
+                total_steps=opt.total_steps, base_lr=opt.base_lr,
+                warmup_steps=opt.warmup_steps, weight_decay=opt.weight_decay,
+                step=opt.step)
+            for name in opt.moments:
+                if name not in params or name in optimizer.m:
+                    raise CheckpointFormatError(
+                        f"moment {name!r} names no stored tensor, or repeats")
+                shape = params[name].data.shape
+                optimizer.m[name] = _read_into(f, np.empty(shape))
+                optimizer.v[name] = _read_into(f, np.empty(shape))
+        if f.read(1):
+            raise CheckpointFormatError("trailing bytes after the last array")
     return model, optimizer
 
 
-def _build_from_config(config: dict) -> MtlModel:
-    try:
-        mc = from_json(ModelConfig, config, "checkpoint config")
-        return MtlModel.build(mc.backbone, list(mc.tasks), spal_hidden=mc.spal_hidden,
-                              seed=0, freeze_backbone=False, probe=mc.probe)
-    except ConfigError as e:
-        raise CheckpointFormatError(str(e)) from e
+def _check_table(tensors, params: dict) -> None:
+    """The header's tensor table lists each of `params` once, at its shape."""
+    seen: set[str] = set()
+    for name, shape, _ in tensors:
+        if name not in params:
+            raise CheckpointFormatError(f"unknown tensor {name!r} in checkpoint")
+        if name in seen:
+            raise CheckpointFormatError(f"tensor {name!r} appears twice in checkpoint")
+        seen.add(name)
+        if shape != params[name].data.shape:
+            raise CheckpointFormatError(
+                f"tensor {name!r} shape {shape} != expected {params[name].data.shape}")
+    missing = sorted(set(params) - seen)
+    if missing:
+        raise CheckpointFormatError(f"checkpoint lacks tensor(s) {missing}")

@@ -5,8 +5,8 @@ lines) is parsed by `parse_json`, which rejects non-finite numbers, and read
 through a dataclass by `from_json`. A dataset file holds one object per line:
 {"tokens": [...], "label": ...} plus optional "target_span", "spans" and
 "latent" (generator provenance). Bad lines, including ids outside the
-backbone's vocabulary or longer than its `max_seq_len`, are reported as
-`path:line`.
+backbone's vocabulary, lines longer than its `max_seq_len` and lines of its
+padding id only, are reported as `path:line`.
 """
 
 from __future__ import annotations
@@ -140,6 +140,9 @@ def load_jsonl_dataset(path, spec: TaskSpec, backbone: BackboneConfig,
             if bad.size:
                 raise DataError(f"token id {bad[0]} outside the backbone's vocabulary "
                                 f"0..{backbone.vocab_size - 1}")
+            if not (ids != backbone.padding_token_id).any():
+                raise DataError(f"tokens must hold a non-padding id (the backbone pads "
+                                f"with {backbone.padding_token_id}), got {ids.tolist()}")
             examples.append(validate_example(spec, ex))
         except (SpalMtlError, OverflowError) as e:  # an id beyond int64
             raise DataError(f"{path}:{lineno}: {e}") from e

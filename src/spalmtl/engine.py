@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .errors import ConfigError, ContractError, SpalMtlError
 from .model import FORWARD_CHUNK, MtlModel
 from .optim import OptimizerState, adamw_step
-from .tasks import TaskData, TaskSpec, better, head_forward, task_loss, task_metric
+from .tasks import Head, TaskData, TaskSpec, better, head_forward, task_loss, task_metric
 
 DEFAULT_EVAL_INTERVAL_MTL = 200
 DEFAULT_EVAL_INTERVAL_STL = 50
@@ -46,9 +46,6 @@ class TrainPlan:
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value!r}")
-        if self.warmup_steps >= 2**32:  # checkpoints store it as a u32
-            raise ConfigError(
-                f"warmup_steps must be below 2**32, got {self.warmup_steps}")
 
     def fingerprint(self) -> dict:
         """Plan identity minus the seed, for seed-aggregation checks."""
@@ -283,8 +280,6 @@ def transfer_finetune(model: MtlModel, task: TaskData, plan: TrainPlan,
 
     The trunk (backbone + SPALs) is used as-is; a fresh head is attached.
     """
-    from .tasks import Head
-
     if train_shots <= 0 or dev_shots <= 0:
         raise ConfigError("shot counts must be positive")
     if train_shots > len(task.train) or dev_shots > len(task.dev):

@@ -1,6 +1,9 @@
 """Checkpoint container: bit-exact round trips, error taxonomy, resume."""
 
+import json
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,54 +146,152 @@ def test_tampered_header_fails_digest(tmp_path):
         load_checkpoint(path)
 
 
-def _tensor_records(raw: bytes) -> tuple[int, dict]:
-    """Offset of the tensor count, and each tensor record's byte span by name."""
+def _split(raw: bytes) -> tuple[dict, bytes]:
+    """The header and the body of a checkpoint file."""
     (hlen,) = struct.unpack("<I", raw[8:12])
-    count_at = 12 + hlen
-    (n,) = struct.unpack("<I", raw[count_at:count_at + 4])
-    pos, spans = count_at + 4, {}
-    for _ in range(n):
-        start = pos
-        (nlen,) = struct.unpack("<H", raw[pos:pos + 2])
-        name = raw[pos + 2:pos + 2 + nlen].decode()
-        pos += 2 + nlen + 1
-        ndim = raw[pos]
-        shape = struct.unpack(f"<{ndim}I", raw[pos + 1:pos + 1 + 4 * ndim])
-        pos += 1 + 4 * ndim + 8 * int(np.prod(shape))
-        spans[name] = (start, pos)
-    return count_at, spans
+    return json.loads(raw[12:12 + hlen]), raw[12 + hlen:]
+
+
+def _join(raw: bytes, header: dict, body: bytes) -> bytes:
+    blob = json.dumps(header, sort_keys=True).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + body
+
+
+def _tensor_spans(header: dict) -> dict:
+    """Each tensor's byte span in the body, by name."""
+    spans, pos = {}, 0
+    for name, shape, _ in header["tensors"]:
+        spans[name] = (pos, pos + 8 * int(np.prod(shape)))
+        pos = spans[name][1]
+    return spans
+
+
+def _optimizer_for(model, names=("spal.layer0.up",)):
+    opt = OptimizerState(total_steps=10)
+    for name in names:
+        opt.m[name] = np.ones_like(model.all_params()[name].data)
+        opt.v[name] = opt.m[name] * 2
+    return opt
 
 
 @pytest.mark.parametrize("copies,message", [(0, "lacks"), (2, "twice")])
 def test_each_param_stored_exactly_once(tmp_path, copies, message):
+    """A table that drops or repeats a tensor, together with its bytes, is
+    refused by name."""
     model = _random_model(11)
     path = tmp_path / "m.spal"
     save_checkpoint(model, path)
     raw = path.read_bytes()
-    count_at, spans = _tensor_records(raw)
-    start, end = spans["spal.layer0.up"]
-    count = struct.pack("<I", len(spans) - 1 + copies)
-    path.write_bytes(raw[:count_at] + count + raw[count_at + 4:start]
-                     + raw[start:end] * copies + raw[end:])
-    with pytest.raises(CheckpointFormatError, match=message):
+    header, body = _split(raw)
+    name = "spal.layer0.up"
+    start, end = _tensor_spans(header)[name]
+    at = [entry[0] for entry in header["tensors"]].index(name)
+    header["tensors"][at:at + 1] = header["tensors"][at:at + 1] * copies
+    path.write_bytes(_join(raw, header, body[:start] + body[start:end] * copies
+                           + body[end:]))
+    with pytest.raises(CheckpointFormatError, match=message) as err:
         load_checkpoint(path)
+    assert repr(name) in str(err.value)
 
 
 @pytest.mark.parametrize("record", ["tensor", "moment"])
 def test_non_utf8_name_rejected(tmp_path, record):
     model = _random_model(12)
-    opt = OptimizerState(total_steps=10)
-    opt.m["spal.layer0.up"] = np.zeros_like(model.all_params()["spal.layer0.up"].data)
-    opt.v["spal.layer0.up"] = opt.m["spal.layer0.up"]
     path = tmp_path / "m.spal"
-    save_checkpoint(model, path, optimizer=opt)
+    save_checkpoint(model, path, optimizer=_optimizer_for(model))
     raw = bytearray(path.read_bytes())
-    name = b"spal.layer0.up"
-    at = raw.find(name) if record == "tensor" else raw.rfind(name)
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = raw[12:12 + hlen]
+    # "optimizer" sorts before "tensors": the moment list comes first
+    at = 12 + (header.find if record == "moment" else header.rfind)(b"spal.layer0.up")
     raw[at] = 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointFormatError, match="not UTF-8"):
+    with pytest.raises(CheckpointFormatError, match="unparseable header.*utf-8"):
         load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    model = _random_model(13)
+    path = tmp_path / "m.spal"
+    save_checkpoint(model, path, optimizer=_optimizer_for(model))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(CheckpointFormatError, match="trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_moment_naming_no_stored_tensor_rejected(tmp_path):
+    model = _random_model(14)
+    path = tmp_path / "m.spal"
+    save_checkpoint(model, path, optimizer=_optimizer_for(model))
+    raw = path.read_bytes()
+    header, body = _split(raw)
+    header["optimizer"]["moments"] = ["spal.layer9.up"]
+    path.write_bytes(_join(raw, header, body))
+    with pytest.raises(CheckpointFormatError, match="'spal.layer9.up' names no stored tensor"):
+        load_checkpoint(path)
+
+
+def test_header_shape_unlike_config_rejected(tmp_path):
+    model = _random_model(15)
+    path = tmp_path / "m.spal"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    header, body = _split(raw)
+    entry = next(e for e in header["tensors"] if e[0] == "spal.layer0.up")
+    entry[1] = entry[1][::-1]  # same size, transposed shape
+    assert entry[1][0] != entry[1][1]
+    path.write_bytes(_join(raw, header, body))
+    with pytest.raises(CheckpointFormatError, match="'spal.layer0.up' shape"):
+        load_checkpoint(path)
+
+
+def test_version_1_file_rejected(tmp_path):
+    model = _random_model(16)
+    path = tmp_path / "m.spal"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    with pytest.raises(CheckpointVersionError, match="version 1"):
+        load_checkpoint(path)
+
+
+def test_optimizer_counters_beyond_u32_round_trip(tmp_path):
+    model = _random_model(17)
+    opt = _optimizer_for(model)
+    opt.step, opt.warmup_steps, opt.total_steps = 2**32 + 5, 2**32, 2**40
+    path = tmp_path / "m.spal"
+    save_checkpoint(model, path, optimizer=opt)
+    _, loaded = load_checkpoint(path)
+    assert (loaded.step, loaded.warmup_steps, loaded.total_steps) == (2**32 + 5, 2**32, 2**40)
+
+
+def test_save_and_load_hold_no_transient_copy_of_a_tensor(tmp_path):
+    """Each array goes to and from the file through its own buffer: beyond
+    what it leaves allocated, neither call peaks by as much as the largest
+    tensor (a bytes copy, or a second array, would)."""
+    big = replace(TINY, vocab_size=16384)  # 1 MiB word embedding, the rest is small
+    model = MtlModel.build(big, [d.spec for d in two_task_suite().values()], spal_hidden=4,
+                           seed=0)
+    largest = max(p.data.nbytes for p in model.all_params().values())
+    assert largest == 16384 * TINY.model_dim * 8
+    opt = _optimizer_for(model, ["backbone.word_emb"])
+    path = tmp_path / "m.spal"
+
+    def excess(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - current, result
+
+    saved, _ = excess(lambda: save_checkpoint(model, path, optimizer=opt))
+    loaded, (restored, state) = excess(lambda: load_checkpoint(path))
+    assert saved < largest / 4
+    assert loaded < largest / 4
+    _assert_models_equal(model, restored)
+    assert np.array_equal(state.v["backbone.word_emb"], opt.v["backbone.word_emb"])
 
 
 def test_truncated_file_rejected(tmp_path):

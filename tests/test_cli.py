@@ -267,7 +267,6 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
     (_jsonl_without("id"), "data.jsonl[0] needs ['id']"),
     (_jsonl_without("kind"), "data.jsonl[0] needs ['kind']"),
     (_jsonl_without("metric"), "data.jsonl[0] needs ['metric']"),
-    ({"plan": {"epochs": 1, "warmup_steps": 2**32}}, "warmup_steps must be below 2**32"),
     (_generator(tasks=[1], task=False), "data.generator.tasks[0] must be an object"),
     (_generator(kind="seq_ranking"), "unknown task kind 'seq_ranking'"),
     (_jsonl(1), "data.jsonl[0] must be an object"),
@@ -291,7 +290,7 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
         "sizes_float", "relatedness_str", "batch_size_str", "num_classes_float",
         "seq_len_short", "vocab_size_str", "latent_dim_float", "bins_str",
         "gen_seed_str", "gen_seed_negative", "backbone_str", "jsonl_no_id",
-        "jsonl_no_kind", "jsonl_no_metric", "warmup_u32", "gen_task_int",
+        "jsonl_no_kind", "jsonl_no_metric", "gen_task_int",
         "gen_kind_unknown", "jsonl_task_int", "jsonl_batch_size_str",
         "jsonl_num_classes_str", "jsonl_train_int", "rep_gen_int", "out_dir_int",
         "layers_bool", "spal_hidden_0", "spal_hidden_negative",

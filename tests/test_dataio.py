@@ -2,6 +2,7 @@
 round trip."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,24 @@ def test_malformed_value_reports_line(tmp_path, spec, line, message):
     path.write_text(good + "\n" + line + "\n")
     with pytest.raises(DataError, match=f"d.jsonl:2: {message}"):
         load_jsonl_dataset(path, spec, TINY)
+
+
+PADS_WITH_7 = replace(TINY, padding_token_id=7)
+
+
+def test_line_of_the_backbones_padding_id_only_reports_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"tokens": [4], "label": 0}\n{"tokens": [7, 7], "label": 0}\n')
+    with pytest.raises(DataError, match=r"d.jsonl:2: tokens must hold a non-padding id "
+                                        r"\(the backbone pads with 7\)"):
+        load_jsonl_dataset(path, CLS, PADS_WITH_7)
+
+
+def test_id_0_is_content_for_a_backbone_that_pads_with_another(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"tokens": [0, 0], "label": 1}\n')
+    (ex,) = load_jsonl_dataset(path, CLS, PADS_WITH_7)
+    assert ex.token_ids.tolist() == [0, 0] and ex.label == 1
 
 
 def test_integer_regression_label_accepted(tmp_path):
