@@ -7,6 +7,7 @@ flag on every backbone parameter without touching SPALs or heads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -88,52 +89,39 @@ class Backbone:
             p.trainable = trainable
 
 
-def backbone_param_count(config: BackboneConfig) -> int:
-    """Closed-form total parameter count for a config, without instantiating.
+def backbone_shapes(config: BackboneConfig) -> dict[str, tuple[int, ...]]:
+    """Every backbone tensor's name and shape, in creation (and draw) order."""
+    d, ff = config.model_dim, config.ff_dim
+    shapes = {"backbone.word_emb": (config.vocab_size, d),
+              "backbone.pos_emb": (config.max_seq_len, d),
+              "backbone.emb_ln.gain": (d,), "backbone.emb_ln.bias": (d,)}
+    for i in range(config.num_layers):
+        pre = f"backbone.layer{i}"
+        shapes.update({f"{pre}.attn.w{x}": (d, d) for x in "qkvo"})
+        shapes.update({f"{pre}.attn.b{x}": (d,) for x in "qkvo"})
+        shapes.update({f"{pre}.ff.w1": (d, ff), f"{pre}.ff.b1": (ff,),
+                       f"{pre}.ff.w2": (ff, d), f"{pre}.ff.b2": (d,)})
+        shapes.update({f"{pre}.ln{j}.{p}": (d,) for j in "12" for p in ("gain", "bias")})
+    return shapes
 
-    Must equal the summed tensor sizes of an initialized backbone; the big
-    full-size bert-base preset is only ever counted, never allocated, in tests.
-    """
-    d, ff, L = config.model_dim, config.ff_dim, config.num_layers
-    emb = config.vocab_size * d + config.max_seq_len * d + 2 * d
-    per_layer = (4 * d * d + 4 * d) + (d * ff + ff) + (ff * d + d) + 4 * d
-    return emb + L * per_layer
+
+def backbone_param_count(config: BackboneConfig) -> int:
+    """Total size of `backbone_shapes`, without allocating: tests count the
+    full-size bert-base preset this way and never build it."""
+    return sum(math.prod(shape) for shape in backbone_shapes(config).values())
 
 
 def init_backbone(config: BackboneConfig, seed: int) -> Backbone:
-    """Deterministic init: scaled normal weights, zero biases, unit LN gains."""
+    """Deterministic init over `backbone_shapes`: matrices drawn from
+    N(0, 0.02^2) in table order, LayerNorm gains one, biases zero."""
     rng = np.random.default_rng(seed)
-    d, ff = config.model_dim, config.ff_dim
-    std = 0.02
     params: dict[str, Param] = {}
-
-    def w(name, shape):
-        params[name] = Param(rng.normal(0.0, std, size=shape), name=name)
-
-    def zeros(name, shape):
-        params[name] = Param(np.zeros(shape), name=name)
-
-    def ones(name, shape):
-        params[name] = Param(np.ones(shape), name=name)
-
-    w("backbone.word_emb", (config.vocab_size, d))
-    w("backbone.pos_emb", (config.max_seq_len, d))
-    ones("backbone.emb_ln.gain", (d,))
-    zeros("backbone.emb_ln.bias", (d,))
-    for i in range(config.num_layers):
-        pre = f"backbone.layer{i}"
-        for proj in ("wq", "wk", "wv", "wo"):
-            w(f"{pre}.attn.{proj}", (d, d))
-        for b in ("bq", "bk", "bv", "bo"):
-            zeros(f"{pre}.attn.{b}", (d,))
-        w(f"{pre}.ff.w1", (d, ff))
-        zeros(f"{pre}.ff.b1", (ff,))
-        w(f"{pre}.ff.w2", (ff, d))
-        zeros(f"{pre}.ff.b2", (d,))
-        ones(f"{pre}.ln1.gain", (d,))
-        zeros(f"{pre}.ln1.bias", (d,))
-        ones(f"{pre}.ln2.gain", (d,))
-        zeros(f"{pre}.ln2.bias", (d,))
+    for name, shape in backbone_shapes(config).items():
+        if len(shape) == 2:
+            data = rng.normal(0.0, 0.02, size=shape)
+        else:
+            data = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
+        params[name] = Param(data, name=name)
     return Backbone(config, params)
 
 

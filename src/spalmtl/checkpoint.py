@@ -12,9 +12,10 @@ Layout (integers little-endian):
     then raw little-endian float64: each tensor in header order, then each
     named moment's m and v, shaped like its tensor; nothing after.
 
-The header is read through `ModelConfig` and `Layout` like every JSON input,
-and its table must list each tensor of the config-built model once, at its
-shape. Round trips are bit-exact. The version is checked before anything
+The header is read through `ModelConfig` and `Layout` like every JSON input.
+The load allocates the backbone from `backbone_shapes` without drawing it,
+then reads each tensor of the table (listed once, at the model's shape) into
+place. Round trips are bit-exact. The version is checked before anything
 else is read; files of any other version (v1 included) are refused.
 """
 
@@ -28,7 +29,8 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .backbone import BackboneConfig
+from .autodiff import Param
+from .backbone import Backbone, BackboneConfig, backbone_shapes
 from .dataio import from_json, parse_json
 from .errors import (CheckpointDigestError, CheckpointFormatError,
                      CheckpointTruncatedError, CheckpointVersionError, ConfigError)
@@ -150,8 +152,11 @@ def load_checkpoint(path) -> tuple[MtlModel, OptimizerState | None]:
         try:
             mc = from_json(ModelConfig, config, "checkpoint config")
             layout = from_json(Layout, header, "checkpoint header")
-            model = MtlModel.build(mc.backbone, list(mc.tasks), spal_hidden=mc.spal_hidden,
-                                   seed=0, freeze_backbone=False, probe=mc.probe)
+            backbone = Backbone(mc.backbone, {  # every array is filled below
+                name: Param(np.empty(shape), name=name)
+                for name, shape in backbone_shapes(mc.backbone).items()})
+            model = MtlModel.around(backbone, list(mc.tasks), mc.spal_hidden,
+                                    seed=0, probe=mc.probe)
         except ConfigError as e:
             raise CheckpointFormatError(str(e)) from e
 

@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, SpalMtlError
 from .model import FORWARD_CHUNK, MtlModel
-from .optim import OptimizerState, adamw_step
+from .optim import (DEFAULT_BASE_LR, DEFAULT_WARMUP_STEPS, DEFAULT_WEIGHT_DECAY,
+                    OptimizerState, adamw_step)
 from .tasks import Head, TaskData, TaskSpec, better, head_forward, task_loss, task_metric
 
 DEFAULT_EVAL_INTERVAL_MTL = 200
@@ -31,9 +32,9 @@ class TrainPlan:
     seed: int = 1
     temperature: float = 1.0
     freeze_backbone: bool = True
-    base_lr: float = 5e-5
-    warmup_steps: int = 500
-    weight_decay: float = 0.01
+    base_lr: float = DEFAULT_BASE_LR
+    warmup_steps: int = DEFAULT_WARMUP_STEPS
+    weight_decay: float = DEFAULT_WEIGHT_DECAY
 
     def __post_init__(self):
         if self.epochs <= 0:

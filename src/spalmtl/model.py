@@ -55,16 +55,19 @@ class MtlModel:
               spal_hidden: int | None, seed: int, freeze_backbone: bool = True,
               probe: bool = False) -> "MtlModel":
         backbone = init_backbone(backbone_config, seed)
-        spals = None
-        if spal_hidden is not None:
-            spals = attach_spals(backbone, SpalConfig(spal_hidden), seed + 1)
-        heads = {
-            spec.id: Head(spec, backbone_config.model_dim, seed + 2 + i)
-            for i, spec in enumerate(task_specs)
-        }
-        probe_w = ProbeWeights(backbone_config.num_layers) if probe else None
         backbone.set_trainable(not freeze_backbone)
-        return cls(backbone, spals, heads, probe_w)
+        return cls.around(backbone, task_specs, spal_hidden, seed, probe)
+
+    @classmethod
+    def around(cls, backbone: Backbone, task_specs: list[TaskSpec],
+               spal_hidden: int | None, seed: int, probe: bool) -> "MtlModel":
+        """SPALs (seed + 1), heads (seed + 2 + i) and probe wired around `backbone`."""
+        spals = None if spal_hidden is None else attach_spals(
+            backbone, SpalConfig(spal_hidden), seed + 1)
+        heads = {spec.id: Head(spec, backbone.config.model_dim, seed + 2 + i)
+                 for i, spec in enumerate(task_specs)}
+        return cls(backbone, spals, heads,
+                   ProbeWeights(backbone.config.num_layers) if probe else None)
 
     # -- forward ------------------------------------------------------------
 

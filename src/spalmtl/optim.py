@@ -1,8 +1,7 @@
 """AdamW with linear warmup / linear decay.
 
 Decoupled weight decay, beta=(0.9, 0.999), eps=1e-8. Only the learning rate,
-warmup length and decay target are exposed knobs; defaults are lr=5e-5,
-warmup=500, decay=0.01.
+warmup length and weight decay are exposed knobs, defaulting to `DEFAULT_*`.
 """
 
 from __future__ import annotations

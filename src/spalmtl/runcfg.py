@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .model import MtlModel
 from .spal import SpalConfig, count_spal_params
 from .synthdata import GeneratorSpec, gen_synthetic_suite
-from .tasks import TaskData, TaskSpec
+from .tasks import FIRST_CONTENT_ID, TaskData, TaskSpec
 
 _TOP_KEYS = {"backbone", "spal_hidden", "freeze_backbone", "probe", "plan",
              "data", "analysis", "out_dir"}
@@ -70,6 +70,9 @@ class RunConfig:
         if gen is not None and gen.seq_len[1] > bb.max_seq_len:
             raise ConfigError(f"data.generator.seq_len {list(gen.seq_len)} exceeds "
                               f"the backbone's max_seq_len {bb.max_seq_len}")
+        if gen is not None and FIRST_CONTENT_ID <= bb.padding_token_id < gen.vocab_size:
+            raise ConfigError(f"padding_token_id {bb.padding_token_id} is a data.generator "
+                              f"content id ({FIRST_CONTENT_ID}..{gen.vocab_size - 1})")
 
     def build_data(self) -> dict[str, TaskData]:
         if self.generator is not None:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from spalmtl import autodiff as ad
-from spalmtl.backbone import (BERT_BASE, BackboneConfig, backbone_param_count,
-                              encode, init_backbone)
+from spalmtl.backbone import (BERT_BASE, TOY, BackboneConfig, backbone_param_count,
+                              backbone_shapes, encode, init_backbone)
 from spalmtl.errors import ConfigError, ContractError, DataError
 from spalmtl.model import MtlModel
 from spalmtl.tasks import TaskExample, TaskSpec, head_forward, task_loss
@@ -56,6 +56,30 @@ def test_param_count_matches_enumeration():
     # enumerate-and-sum over the declared tensors
     by_hand = sum(p.data.size for p in bb.params.values())
     assert backbone_param_count(cfg) == by_hand
+
+
+def _closed_form_param_count(config: BackboneConfig) -> int:
+    """Embeddings and their LayerNorm, then per layer: attention (4 d x d
+    projections with biases), the feed-forward pair and two LayerNorms."""
+    d, ff, L = config.model_dim, config.ff_dim, config.num_layers
+    emb = config.vocab_size * d + config.max_seq_len * d + 2 * d
+    per_layer = (4 * d * d + 4 * d) + (d * ff + ff) + (ff * d + d) + 4 * d
+    return emb + L * per_layer
+
+
+def test_init_follows_shape_table():
+    params = init_backbone(TOY, seed=0).params
+    assert [(name, p.data.shape) for name, p in params.items()] == \
+        list(backbone_shapes(TOY).items())
+    for name, p in params.items():
+        if p.data.ndim == 1:
+            assert np.all(p.data == (1.0 if name.endswith(".gain") else 0.0)), name
+
+
+@pytest.mark.parametrize("config", [TOY, BERT_BASE, BackboneConfig()],
+                         ids=["toy", "bert-base", "default"])
+def test_param_count_matches_closed_form(config):
+    assert backbone_param_count(config) == _closed_form_param_count(config)
 
 
 def test_replica_count_supports_capacity_bracket():

@@ -294,6 +294,34 @@ def test_save_and_load_hold_no_transient_copy_of_a_tensor(tmp_path):
     assert np.array_equal(state.v["backbone.word_emb"], opt.v["backbone.word_emb"])
 
 
+def test_load_draws_no_backbone_values(tmp_path, monkeypatch):
+    """The backbone is allocated from its shape table and read from the
+    file, not drawn and then overwritten: all that the load draws (SPALs
+    and heads) is less than the word embedding alone."""
+    model = _random_model(18, probe=True)
+    path = tmp_path / "m.spal"
+    save_checkpoint(model, path)
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def __getattr__(self, attr):
+            def counted(*args, **kwargs):
+                values = getattr(self._rng, attr)(*args, **kwargs)
+                drawn.append(np.size(values))
+                return values
+            return counted
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    loaded, _ = load_checkpoint(path)
+    monkeypatch.undo()
+    assert 0 < sum(drawn) < loaded.backbone.params["backbone.word_emb"].data.size
+    _assert_models_equal(model, loaded)
+
+
 def test_truncated_file_rejected(tmp_path):
     model = _random_model(9)
     path = tmp_path / "m.spal"

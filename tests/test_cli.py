@@ -285,6 +285,8 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
      "data.generator.vocab_size 200 exceeds the backbone's vocab_size 128"),
     (_generator(seq_len=[6, 20], task=False),
      "data.generator.seq_len [6, 20] exceeds the backbone's max_seq_len 16"),
+    ({"backbone": dict(BACKBONE, padding_token_id=7)},
+     "padding_token_id 7 is a data.generator content id (4..95)"),
 ], ids=["layer0", "layer9", "cadence0", "epochs_str", "seed_negative",
         "warmup_negative", "lr_negative", "decay_negative", "sizes_short",
         "sizes_float", "relatedness_str", "batch_size_str", "num_classes_float",
@@ -295,7 +297,7 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
         "jsonl_num_classes_str", "jsonl_train_int", "rep_gen_int", "out_dir_int",
         "layers_bool", "spal_hidden_0", "spal_hidden_negative",
         "spal_hidden_indivisible", "data_both", "gen_vocab_above_backbone",
-        "gen_seq_len_above_backbone"])
+        "gen_seq_len_above_backbone", "gen_content_holds_padding_id"])
 def test_invalid_run_config_is_cli_error(tmp_path, capsys, overrides, message):
     path = _write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1
