@@ -26,7 +26,7 @@ DEFAULT_SWEEP_SEEDS = (1, 2, 3, 4, 5)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    """Accept '1,2,3' and '1-5' forms; a range must not be empty."""
+    """Accept '1,2,3' and '1-5' forms; no range may be empty, no value repeat."""
     out: list[int] = []
     for part in text.split(","):
         lo, _, hi = part.strip().partition("-")
@@ -36,6 +36,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
             raise ConfigError(f"{flag} takes integers or ranges (1-5), got {text!r}") from None
         if not span:
             raise ConfigError(f"{flag} range {part.strip()!r} is empty")
+        if twice := set(out).intersection(span):
+            raise ConfigError(f"{flag} names {min(twice)} twice, in {text!r}")
         out.extend(span)
     return out
 
@@ -180,9 +182,11 @@ def cmd_ablate_tasks(args) -> int:
     cfg = load_run_config(args.config)
     data = cfg.build_data()
     order = [t.strip() for t in args.order.split(",")]
-    for tid in order:
+    for i, tid in enumerate(order):
         if tid not in data:
             raise ConfigError(f"--order names unknown task {tid!r}")
+        if tid in order[:i]:
+            raise ConfigError(f"--order names task {tid!r} twice")
     out = Path(args.out) if args.out else Path(cfg.out_dir or "ablation")
     remaining = dict(data)
     stage = 0

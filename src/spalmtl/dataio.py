@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import types
 import typing
 from pathlib import Path
@@ -67,10 +68,12 @@ def read_value(value, hint, where: str):
     JSON lists become tuples where the hint is a tuple, and objects become
     the dataclass the hint names."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):  # X | None
-        if value is None:
+    if origin in (typing.Union, types.UnionType):  # X | None, or a dataclass | str
+        if value is None and type(None) in args:
             return None
-        (hint,) = [a for a in args if a is not type(None)]
+        hint, *alt = [a for a in args if a is not type(None)]
+        if alt == [str] and type(value) is str:  # a name in place of the object
+            hint = str
         return read_value(value, hint, where)
     if dataclasses.is_dataclass(hint):
         return from_json(hint, value, where)
@@ -90,15 +93,17 @@ def read_value(value, hint, where: str):
 def from_json(cls, obj, where: str, **given):
     """The dataclass `cls` built from the JSON object `obj`, which holds
     exactly the fields of `cls` other than those in `given`, each at its
-    annotated type. `where` names `obj` in error messages; an empty `where`
-    (a dataset line, whose location prefixes the message) names fields bare."""
+    annotated type. `where` names `obj` in error messages. An empty `where`
+    marks a whole document (a run config, a dataset line): its fields are
+    named bare, and the document after its class (`RunConfig`: "run config")."""
     fields = [f for f in dataclasses.fields(cls) if f.name not in given]
-    check_keys(obj, [f.name for f in fields], where or "line")
+    name = where or " ".join(re.findall("[A-Z][a-z]*", cls.__name__)).lower()
+    check_keys(obj, [f.name for f in fields], name)
     missing = [f.name for f in fields if f.name not in obj
                and f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING]
     if missing:
-        raise ConfigError(f"{where or 'line'} needs {missing}")
+        raise ConfigError(f"{name} needs {missing}")
     hints, prefix = _type_hints(cls), f"{where}." if where else ""
     return cls(**{f.name: read_value(obj[f.name], hints[f.name], prefix + f.name)
                   for f in fields if f.name in obj}, **given)

@@ -1,10 +1,11 @@
-"""Synthetic multi-task corpora with a controllable relatedness knob.
+"""Synthetic multi-task corpora with a per-task `relatedness` rho.
 
 Every example is driven by a latent vector u = rho * z_shared + (1 - rho) *
-z_private. The first latent_dim tokens quantize u (so labels are learnable
-from tokens alone); the rest is filler. Label functions depend only on the
-task kind and the generator seed, so two tasks of the same kind with rho=1
-share their labeling function on the shared features by construction.
+z_private, both drawn per example. The first latent_dim tokens quantize u
+(so labels are learnable from tokens alone); the rest is filler. Label
+functions depend only on the generator seed, task kind and class count, so
+tasks alike in kind and count share one labeling function at every rho: for
+now rho only rescales u (ROADMAP item 3 is to make it enter the labels).
 Latents (and planted spans) are stored on each example: labels can always be
 re-derived, the generator ships its own oracle.
 """

@@ -179,7 +179,8 @@ def test_train_with_analysis_artifacts(tmp_path):
 
 @pytest.mark.parametrize("freeze", [True, False])
 def test_freeze_backbone_key_decides_whether_the_backbone_trains(tmp_path, freeze):
-    cfg_path = _write_config(tmp_path, freeze_backbone=freeze)
+    cfg_path = _write_config(tmp_path, plan={"epochs": 1, "eval_interval": 5, "seed": 1,
+                                             "freeze_backbone": freeze})
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert json.loads((out / "run.json").read_text())["plan"]["freeze_backbone"] is freeze
@@ -287,6 +288,10 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
      "data.generator.seq_len [6, 20] exceeds the backbone's max_seq_len 16"),
     ({"backbone": dict(BACKBONE, padding_token_id=7)},
      "padding_token_id 7 is a data.generator content id (4..95)"),
+    (dict(_jsonl(dict(JSONL_TASK, marker="company")),
+          backbone=dict(BACKBONE, padding_token_id=2)),
+     "padding_token_id 2 is the id of marker 'company' of data.jsonl task 'j'"),
+    ({"freeze_backbone": False}, "unknown keys ['freeze_backbone'] in run config"),
 ], ids=["layer0", "layer9", "cadence0", "epochs_str", "seed_negative",
         "warmup_negative", "lr_negative", "decay_negative", "sizes_short",
         "sizes_float", "relatedness_str", "batch_size_str", "num_classes_float",
@@ -297,7 +302,8 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
         "jsonl_num_classes_str", "jsonl_train_int", "rep_gen_int", "out_dir_int",
         "layers_bool", "spal_hidden_0", "spal_hidden_negative",
         "spal_hidden_indivisible", "data_both", "gen_vocab_above_backbone",
-        "gen_seq_len_above_backbone", "gen_content_holds_padding_id"])
+        "gen_seq_len_above_backbone", "gen_content_holds_padding_id",
+        "jsonl_marker_is_padding_id", "freeze_backbone_top_level"])
 def test_invalid_run_config_is_cli_error(tmp_path, capsys, overrides, message):
     path = _write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1
@@ -325,7 +331,9 @@ def test_negative_seed_flag_is_cli_error(tmp_path, capsys):
     assert "error: seed must be non-negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value", [("--hidden", "x"), ("--seeds", "5-1")])
+@pytest.mark.parametrize("flag,value", [
+    ("--hidden", "x"), ("--seeds", "5-1"),
+    ("--seeds", "1,1"), ("--hidden", "4,4"), ("--hidden", "2-6,4")])
 def test_bad_sweep_list_is_cli_error(tmp_path, capsys, flag, value):
     cfg = _write_config(tmp_path)
     assert main(["sweep-capacity", "--config", str(cfg), flag, value,
@@ -363,6 +371,15 @@ def test_ablate_tasks_runs_cumulative_stages(tmp_path, capsys):
                  "--out", str(out)]) == 0
     stages = sorted(p.name for p in out.iterdir())
     assert stages == ["stage0_alpha-beta", "stage1_beta"]
+
+
+def test_ablate_order_naming_a_task_twice_is_cli_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "ablate"
+    assert main(["ablate-tasks", "--config", str(cfg), "--order", "alpha,alpha",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --order names task 'alpha' twice\n"
+    assert not out.exists()
 
 
 def test_transfer_finetunes_from_checkpoint(tmp_path, capsys):
