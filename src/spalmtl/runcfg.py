@@ -42,6 +42,12 @@ class JsonlTask(TaskSpec):
     test: str | None = None
     marker: str | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.marker is not None and self.marker not in MARKER_IDS:
+            raise ConfigError(f"data.jsonl task {self.id!r} has unknown marker "
+                              f"{self.marker!r}, not one of {sorted(MARKER_IDS)}")
+
     def spec(self) -> TaskSpec:
         return TaskSpec(**{f.name: getattr(self, f.name)
                            for f in dataclasses.fields(TaskSpec)})

@@ -276,6 +276,107 @@ def test_deep_chain_exceeds_recursion_limit():
     assert float(p.grad) == 1.0
 
 
+# -- a consumed graph ---------------------------------------------------------
+
+def _nodes(loss):
+    """Every recorded node reachable from loss, in backward's topological
+    order (inputs first)."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack += [(p, False) for p, _ in node._parents if id(p) not in seen]
+    return topo
+
+
+def _zero_fill_grads(loss):
+    """Reference backward that leaves the graph intact: each gradient starts
+    as zeros_like(data) and every share adds in place."""
+    grads = {id(loss): np.zeros_like(loss.data) + 1.0}
+    for node in reversed(_nodes(loss)):
+        for p, vjp in node._parents:
+            grads.setdefault(id(p), np.zeros_like(p.data))
+            grads[id(p)] += vjp(grads[id(node)])
+    return grads
+
+
+def _param(seed, shape):
+    return ad.Param(np.random.default_rng(seed).normal(size=shape), name=f"p{seed}")
+
+
+def test_backward_consumes_every_non_param_node():
+    x, w = _param(0, (3, 4)), _param(1, (4, 2))
+    h = ad.gelu(ad.matmul(x, w))
+    loss = ad.tmean(ad.square(ad.add(h, h)))
+    nodes = _nodes(loss)
+    ad.backward(loss)
+    inner = [n for n in nodes if not isinstance(n, ad.Param)]
+    assert len(inner) == 5
+    assert all(n.grad is None and n._parents is None for n in inner)
+    assert x.grad is not None and w.grad is not None
+
+
+def test_consumed_graph_refuses_a_second_backward_and_new_ops():
+    x = _param(0, (3,))
+    h = ad.sigmoid(x)
+    loss = ad.tmean(h)
+    ad.backward(loss)
+    with pytest.raises(ContractError, match="consumed"):
+        ad.backward(loss)
+    with pytest.raises(ContractError, match="consumed"):
+        ad.scale(h, 2.0)
+    with ad.no_graph():
+        assert np.array_equal(ad.scale(h, 2.0).data, h.data * 2.0)
+    ad.backward(ad.tmean(ad.sigmoid(x)))  # a new graph over the same Param
+    assert np.allclose(x.grad, 2 * h.data * (1 - h.data) / 3)
+
+
+def _aliased_same_input(x):
+    return ad.tmean(ad.square(ad.add(x, x)))
+
+
+def _aliased_shared_inputs(x):
+    a, b = ad.scale(x, 1.5), ad.sigmoid(x)
+    s, t = ad.add(a, b), ad.add(ad.square(a), ad.gelu(b))
+    return ad.tmean(ad.square(ad.add(s, t)))
+
+
+def _aliased_views(x):
+    t = ad.transpose(x, (1, 0))
+    r = ad.reshape(t, (2, 6))
+    w = ad.Tensor(np.random.default_rng(5).normal(size=(3, 2)))
+    return ad.add(ad.tmean(ad.square(r)), ad.tmean(ad.square(ad.matmul(t, w))))
+
+
+def _broadcast_mean(x):
+    return ad.tmean(ad.sigmoid(ad.reshape(x, (12,))))
+
+
+@pytest.mark.parametrize("build", [_aliased_same_input, _aliased_shared_inputs,
+                                   _aliased_views, _broadcast_mean])
+def test_param_gradients_match_a_zero_fill_reference_bit_for_bit(build):
+    x = _param(3, (3, 4))
+    loss = build(x)
+    ref = _zero_fill_grads(loss)[id(x)]
+    ad.backward(loss)
+    assert x.grad.tobytes() == ref.tobytes()
+
+
+def test_first_gradient_of_a_transposed_view_keeps_its_layout():
+    p = ad.Param(np.random.default_rng(0).normal(size=(4, 3)).T)
+    ad.backward(ad.tmean(ad.square(ad.matmul(p, ad.Tensor(np.ones((4, 2)))))))
+    # backward drops an intermediate's grad, so this one is fed directly
+    t = ad.transpose(_param(1, (3, 4)), (1, 0))
+    t.accumulate(np.ones((4, 3)))
+    for node in (p, t):
+        assert not node.data.flags.c_contiguous
+        assert node.grad.strides == np.zeros_like(node.data).strides
+
+
 # -- properties -------------------------------------------------------------
 
 @settings(max_examples=50, deadline=None)

@@ -8,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spalmtl.backbone import TOY
 from spalmtl.checkpoint import config_digest, load_checkpoint
 from spalmtl.cli import build_parser, main
+from spalmtl.dataio import read_json
 from spalmtl.engine import run_training
 from spalmtl.errors import ConfigError
 from spalmtl.runcfg import load_run_config, parse_run_config
+from spalmtl.synthdata import findata_shaped_suite
 
 from conftest import read_matrix_csv
 
@@ -71,6 +74,13 @@ def _write_config(tmp_path, name="run.json", **overrides):
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError, match="typo"):
         parse_run_config(_config(typo=1))
+
+
+def test_criterion3_config_is_the_findata_shaped_suite():
+    path = Path(__file__).resolve().parents[1] / "configs" / "criterion3_toy.json"
+    cfg = parse_run_config(read_json(path), base_dir=path.parent)
+    assert cfg.data.generator == findata_shaped_suite(seed=0)
+    assert (cfg.backbone, cfg.spal_hidden, cfg.plan.epochs, cfg.plan.seed) == (TOY, 4, 11, 1)
 
 
 def test_unknown_plan_key_rejected():
@@ -291,6 +301,8 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
     (dict(_jsonl(dict(JSONL_TASK, marker="company")),
           backbone=dict(BACKBONE, padding_token_id=2)),
      "padding_token_id 2 is the id of marker 'company' of data.jsonl task 'j'"),
+    (_jsonl(dict(JSONL_TASK, marker="compnay")),
+     "data.jsonl task 'j' has unknown marker 'compnay', not one of ['company', 'number']"),
     ({"freeze_backbone": False}, "unknown keys ['freeze_backbone'] in run config"),
 ], ids=["layer0", "layer9", "cadence0", "epochs_str", "seed_negative",
         "warmup_negative", "lr_negative", "decay_negative", "sizes_short",
@@ -303,7 +315,8 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
         "layers_bool", "spal_hidden_0", "spal_hidden_negative",
         "spal_hidden_indivisible", "data_both", "gen_vocab_above_backbone",
         "gen_seq_len_above_backbone", "gen_content_holds_padding_id",
-        "jsonl_marker_is_padding_id", "freeze_backbone_top_level"])
+        "jsonl_marker_is_padding_id", "jsonl_marker_unknown",
+        "freeze_backbone_top_level"])
 def test_invalid_run_config_is_cli_error(tmp_path, capsys, overrides, message):
     path = _write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1
