@@ -128,35 +128,12 @@ def init_backbone(config: BackboneConfig, seed: int) -> Backbone:
 def multi_head_attention(x: Tensor, mask: np.ndarray, num_heads: int,
                          wq: Param, bq, wk: Param, bk, wv: Param, bv,
                          wo: Param, bo) -> Tensor:
-    """Standard scaled dot-product attention over [B, T, dim] input.
-
-    Padding key positions get a large negative additive bias. Biases may be
-    None (the SPAL branch has none).
-    """
-    batch, seq, _ = x.data.shape
-    d_model = wq.data.shape[1]
-    dh = d_model // num_heads
-
-    def proj(wmat, bvec):
-        y = ad.matmul(x, wmat)
-        if bvec is not None:
-            y = ad.add_bias(y, bvec)
-        # [B, T, d] -> [B, H, T, dh]
-        return ad.transpose(ad.reshape(y, (batch, seq, num_heads, dh)), (0, 2, 1, 3))
-
-    q = proj(wq, bq)
-    k = proj(wk, bk)
-    v = proj(wv, bv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    key_bias = np.where(mask, 0.0, MASK_NEG)
-    scores = ad.add_const(scores, key_bias[:, None, None, :])
-    probs = ad.softmax_rows(scores)
-    ctx = ad.matmul(probs, v)  # [B, H, T, dh]
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, seq, d_model))
-    out = ad.matmul(ctx, wo)
-    if bo is not None:
-        out = ad.add_bias(out, bo)
-    return out
+    """Scaled dot-product attention over [B, T, dim] input, padding keys
+    masked by a large negative score bias. Biases may be None (the SPAL
+    branch has none)."""
+    q, k, v = (ad.linear(x, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    ctx = ad.attention(q, k, v, np.where(mask, 0.0, MASK_NEG), num_heads)
+    return ad.linear(ctx, wo, bo)
 
 
 def _backbone_layer(x: Tensor, mask: np.ndarray, bb: Backbone, i: int) -> Tensor:
@@ -169,8 +146,8 @@ def _backbone_layer(x: Tensor, mask: np.ndarray, bb: Backbone, i: int) -> Tensor
         p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"],
         p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
     x = ad.layer_norm(ad.add(x, attn), p[f"{pre}.ln1.gain"], p[f"{pre}.ln1.bias"])
-    h = ad.gelu(ad.add_bias(ad.matmul(x, p[f"{pre}.ff.w1"]), p[f"{pre}.ff.b1"]))
-    h = ad.add_bias(ad.matmul(h, p[f"{pre}.ff.w2"]), p[f"{pre}.ff.b2"])
+    h = ad.gelu(ad.linear(x, p[f"{pre}.ff.w1"], p[f"{pre}.ff.b1"]))
+    h = ad.linear(h, p[f"{pre}.ff.w2"], p[f"{pre}.ff.b2"])
     return ad.layer_norm(ad.add(x, h), p[f"{pre}.ln2.gain"], p[f"{pre}.ln2.bias"])
 
 

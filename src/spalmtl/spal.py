@@ -40,12 +40,12 @@ class SpalStack:
     def forward(self, layer: int, x: Tensor, mask: np.ndarray) -> Tensor:
         p = self.params
         pre = f"spal.layer{layer}"
-        down = ad.matmul(x, p[f"{pre}.down"])
+        down = ad.linear(x, p[f"{pre}.down"])
         attn = multi_head_attention(
             down, mask, self.num_heads,
             p[f"{pre}.q"], None, p[f"{pre}.k"], None,
             p[f"{pre}.v"], None, p[f"{pre}.o"], None)
-        return ad.matmul(attn, p[f"{pre}.up"])
+        return ad.linear(attn, p[f"{pre}.up"])
 
 
 def attach_spals(backbone: Backbone, config: SpalConfig, seed: int) -> SpalStack:

@@ -194,8 +194,8 @@ def head_forward(encoding: Encoding, head: Head) -> Tensor:
     seq_classification, [B, T, k] for token_classification."""
     spec = head.spec
     if spec.kind == "token_classification":
-        return ad.add_bias(ad.matmul(encoding.final(), head.w), head.b)
-    logits = ad.add_bias(ad.matmul(encoding.pooled_first(), head.w), head.b)
+        return ad.linear(encoding.final(), head.w, head.b)
+    logits = ad.linear(encoding.pooled_first(), head.w, head.b)
     if spec.kind == "seq_regression":
         return ad.reshape(logits, (-1,))
     return logits

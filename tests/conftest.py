@@ -42,6 +42,49 @@ def tsum(x: ad.Tensor) -> ad.Tensor:
     return ad.Tensor(np.array(x.data.sum()), ((x, lambda g: g),))
 
 
+def graph_nodes(loss: ad.Tensor) -> list[ad.Tensor]:
+    """Every recorded node reachable from loss, in backward's topological
+    order (inputs first)."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack += [(p, False) for p, _ in node._parents if id(p) not in seen]
+    return topo
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Stable softmax along the last axis."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention_oracle(q, k, v, key_bias, num_heads) -> np.ndarray:
+    """Multi-head attention over [B, T, d] arrays, composed from numpy steps
+    in the order ``autodiff.attention`` evaluates them: split the heads,
+    scale q k^T, add the key bias, softmax, weight v, merge the heads."""
+    b, t, d = q.shape
+    dh = d // num_heads
+    qh, kh, vh = (a.reshape(b, t, num_heads, dh).transpose(0, 2, 1, 3) for a in (q, k, v))
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
+    probs = softmax(scores + key_bias[:, None, None, :])
+    return np.matmul(probs, vh).transpose(0, 2, 1, 3).reshape(b, t, d)
+
+
+def attention_weights(scores: np.ndarray) -> np.ndarray:
+    """The weights ``autodiff.attention`` puts on each key for [B, T] key
+    scores: with zero queries every score is the key bias, and values that
+    are unit vectors copy the weights out."""
+    b, t = scores.shape
+    zeros = ad.Tensor(np.zeros((b, t, t)))
+    eye = ad.Tensor(np.tile(np.eye(t), (b, 1, 1)))
+    return ad.attention(zeros, zeros, eye, scores, 1).data[:, 0]
+
+
 def strip_target_markers(token_ids) -> np.ndarray:
     """Remove all marker tokens; inverse of ``tasks.insert_target_markers``."""
     ids = np.asarray(token_ids, dtype=np.int64)

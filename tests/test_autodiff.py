@@ -8,45 +8,52 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spalmtl import autodiff as ad
+from spalmtl.backbone import MASK_NEG
 from spalmtl.errors import ContractError, ShapeError
 
-from conftest import fd_gradient, grads_close, tsum
+from conftest import (attention_oracle, attention_weights, fd_gradient, graph_nodes,
+                      grads_close, tsum)
 
 
 # -- forward values ---------------------------------------------------------
 
 def test_matmul_identity():
     a = np.arange(6.0).reshape(2, 3)
-    out = ad.matmul(ad.Tensor(a), ad.Tensor(np.eye(3)))
+    out = ad.linear(ad.Tensor(a), ad.Tensor(np.eye(3)))
     assert np.array_equal(out.data, a)
 
 
 def test_matmul_matches_triple_loop_oracle():
     rng = np.random.default_rng(0)
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(4, 2))
-    out = ad.matmul(ad.Tensor(a), ad.Tensor(b)).data
-    oracle = np.zeros((3, 2))
-    for i in range(3):
-        for j in range(2):
-            for k in range(4):
-                oracle[i, j] += a[i, k] * b[k, j]
+    a = rng.normal(size=(2, 3, 4))
+    w = rng.normal(size=(4, 2))
+    b = rng.normal(size=2)
+    out = ad.linear(ad.Tensor(a), ad.Tensor(w), ad.Tensor(b)).data
+    oracle = np.zeros((2, 3, 2))
+    for r in range(2):
+        for i in range(3):
+            for j in range(2):
+                oracle[r, i, j] = b[j]
+                for k in range(4):
+                    oracle[r, i, j] += a[r, i, k] * w[k, j]
     assert np.max(np.abs(out - oracle)) < 1e-12
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
-        ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
+        ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
+    with pytest.raises(ShapeError):
+        ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))),
+                  ad.Tensor(np.zeros(3)))
 
 
 def test_softmax_two_equal_logits():
-    out = ad.softmax_rows(ad.Tensor(np.array([0.0, 0.0])))
-    assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
+    assert np.allclose(attention_weights(np.array([[0.0, 0.0]])), [0.5, 0.5], atol=1e-15)
 
 
 def test_softmax_matches_scalar_oracle():
     x = np.array([1.0, 2.0, 3.0])
-    out = ad.softmax_rows(ad.Tensor(x)).data
+    out = attention_weights(x[None])[0]
     exps = [math.exp(v) for v in x]
     total = sum(exps)
     oracle = [e / total for e in exps]
@@ -54,9 +61,17 @@ def test_softmax_matches_scalar_oracle():
 
 
 def test_softmax_stable_at_large_logits():
-    out = ad.softmax_rows(ad.Tensor(np.array([1000.0, 0.0]))).data
+    out = attention_weights(np.array([[1000.0, 0.0]]))
     assert np.isfinite(out).all()
     assert abs(out.sum() - 1.0) < 1e-12
+
+
+def test_attention_matches_numpy_oracle_bit_for_bit():
+    rng = np.random.default_rng(3)
+    q, k, v = (rng.normal(size=(2, 4, 6)) for _ in range(3))
+    key_bias = np.where([[True] * 4, [True, True, True, False]], 0.0, MASK_NEG)
+    out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), key_bias, 2).data
+    assert out.tobytes() == attention_oracle(q, k, v, key_bias, 2).tobytes()
 
 
 def test_cross_entropy_matches_log_softmax_oracle():
@@ -112,14 +127,14 @@ def test_gradients_accumulate_across_backward_calls():
 def test_only_values_that_need_a_gradient_are_recorded():
     w = ad.Param(np.eye(2), name="w", trainable=False)
     x = ad.Param(np.ones((1, 2)), name="x")
-    const = ad.matmul(ad.Tensor(np.ones((1, 2))), w)
+    const = ad.linear(ad.Tensor(np.ones((1, 2))), w)
     assert not const.requires_grad and const._parents == ()
-    y = ad.matmul(x, w)
+    y = ad.linear(x, w)
     assert y.requires_grad and [p for p, _ in y._parents] == [x]
     ad.backward(tsum(y))
     assert w.grad is None and np.array_equal(x.grad, [[1.0, 1.0]])
     with ad.no_graph():
-        assert not ad.matmul(x, w).requires_grad
+        assert not ad.linear(x, w).requires_grad
 
 
 def test_no_graph_nests_and_restores_after_an_exception():
@@ -151,9 +166,8 @@ def test_two_layer_network_finite_differences():
     x = rng.normal(size=(2, 5))
 
     def forward():
-        h = ad.gelu(ad.add_bias(ad.matmul(ad.Tensor(x), w1), b1))
-        out = ad.softmax_rows(ad.matmul(h, w2))
-        return ad.tmean(ad.square(ad.add_const(out, -0.3)))
+        h = ad.gelu(ad.linear(ad.Tensor(x), w1, b1))
+        return ad.tmean(ad.cross_entropy(ad.linear(h, w2), np.array([2, 0])))
 
     loss = forward()
     ad.backward(loss)
@@ -162,13 +176,27 @@ def test_two_layer_network_finite_differences():
         assert grads_close(fd, p.grad), p.name
 
 
-# op -> (fixed seed, the inputs it is differentiated against, its output)
+_PAD_LAST_KEY = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, MASK_NEG]])
+
+# case -> (fixed seed, the inputs it is differentiated against, its output).
+# Most linear and attention cases are named for the step they vary: matmul
+# (2-D rows), matmul_shared ([B, T, k] rows), add_bias (2-D with a bias),
+# matmul_batched (one head), transpose (four heads of width 1) and softmax
+# (an uneven key bias).
 OPS = {
-    "matmul": (101, ("x", "w"), lambda t: ad.matmul(t["x"], t["w"])),
-    "matmul_batched": (102, ("xb", "wb"), lambda t: ad.matmul(t["xb"], t["wb"])),
-    "matmul_shared": (126, ("xb", "w"), lambda t: ad.matmul(t["xb"], t["w"])),
+    "matmul": (101, ("x", "w"), lambda t: ad.linear(t["x"], t["w"])),
+    "matmul_shared": (126, ("xb", "w"), lambda t: ad.linear(t["xb"], t["w"])),
+    "add_bias": (104, ("x", "w", "bn"), lambda t: ad.linear(t["x"], t["w"], t["bn"])),
+    "linear": (128, ("xb", "w", "bn"), lambda t: ad.linear(t["xb"], t["w"], t["bn"])),
+    "attention": (129, ("xb", "kb", "vb"), lambda t: ad.attention(
+        t["xb"], t["kb"], t["vb"], _PAD_LAST_KEY, 2)),
+    "matmul_batched": (102, ("xb", "kb", "vb"), lambda t: ad.attention(
+        t["xb"], t["kb"], t["vb"], np.zeros((2, 3)), 1)),
+    "transpose": (112, ("xb", "kb", "vb"), lambda t: ad.attention(
+        t["xb"], t["kb"], t["vb"], np.zeros((2, 3)), 4)),
+    "softmax": (113, ("xb", "kb", "vb"), lambda t: ad.attention(
+        t["xb"], t["kb"], t["vb"], np.array([[0.5, -1.0, 2.0], [0.0, 1.5, -0.5]]), 2)),
     "add": (103, ("x", "y"), lambda t: ad.add(t["x"], t["y"])),
-    "add_bias": (104, ("x", "bias"), lambda t: ad.add_bias(t["x"], t["bias"])),
     "sub": (106, ("x", "y"), lambda t: ad.sub(t["x"], t["y"])),
     "scale": (107, ("x",), lambda t: ad.scale(t["x"], -1.7)),
     "add_const": (108, ("x",),
@@ -176,8 +204,6 @@ OPS = {
     "scale_by_scalar": (109, ("x", "s"), lambda t: ad.scale_by_scalar(t["x"], t["s"])),
     "one_minus": (110, ("x",), lambda t: ad.one_minus(t["x"])),
     "reshape": (111, ("x",), lambda t: ad.reshape(t["x"], (2, 6))),
-    "transpose": (112, ("xb",), lambda t: ad.transpose(t["xb"], (2, 0, 1))),
-    "softmax": (113, ("x",), lambda t: ad.softmax_rows(t["x"])),
     "layer_norm": (114, ("x", "gain", "bias"),
                    lambda t: ad.layer_norm(t["x"], t["gain"], t["bias"])),
     "gelu": (115, ("x",), lambda t: ad.gelu(t["x"])),
@@ -201,8 +227,10 @@ def _op_inputs(op, frozen=()):
         "x": rng.normal(size=(3, 4)),
         "y": rng.normal(size=(3, 4)),
         "w": rng.normal(size=(4, 2)),
+        "bn": rng.normal(size=2),
         "xb": rng.normal(size=(2, 3, 4)),
-        "wb": rng.normal(size=(2, 4, 2)),
+        "kb": rng.normal(size=(2, 3, 4)),
+        "vb": rng.normal(size=(2, 3, 4)),
         "gain": rng.normal(size=4) + 1.0,
         "bias": rng.normal(size=4),
         "s": np.array(0.7),
@@ -215,8 +243,9 @@ def _op_loss(op, t):
 
 
 def test_every_op_has_a_finite_difference_case():
-    aliases = {"matmul_batched": "matmul", "matmul_shared": "matmul",
-               "softmax": "softmax_rows", "pick_rows": "pick",
+    aliases = {"matmul": "linear", "matmul_shared": "linear", "add_bias": "linear",
+               "matmul_batched": "attention", "transpose": "attention",
+               "softmax": "attention", "pick_rows": "pick",
                "masked_mean": "masked_mean_rows"}
     ops = set(ad.__all__) - {"Tensor", "Param", "backward", "no_graph"}
     assert {aliases.get(op, op) for op in OPS} == ops
@@ -278,26 +307,11 @@ def test_deep_chain_exceeds_recursion_limit():
 
 # -- a consumed graph ---------------------------------------------------------
 
-def _nodes(loss):
-    """Every recorded node reachable from loss, in backward's topological
-    order (inputs first)."""
-    topo, seen, stack = [], set(), [(loss, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack += [(p, False) for p, _ in node._parents if id(p) not in seen]
-    return topo
-
-
 def _zero_fill_grads(loss):
     """Reference backward that leaves the graph intact: each gradient starts
     as zeros_like(data) and every share adds in place."""
     grads = {id(loss): np.zeros_like(loss.data) + 1.0}
-    for node in reversed(_nodes(loss)):
+    for node in reversed(graph_nodes(loss)):
         for p, vjp in node._parents:
             grads.setdefault(id(p), np.zeros_like(p.data))
             grads[id(p)] += vjp(grads[id(node)])
@@ -310,9 +324,9 @@ def _param(seed, shape):
 
 def test_backward_consumes_every_non_param_node():
     x, w = _param(0, (3, 4)), _param(1, (4, 2))
-    h = ad.gelu(ad.matmul(x, w))
+    h = ad.gelu(ad.linear(x, w))
     loss = ad.tmean(ad.square(ad.add(h, h)))
-    nodes = _nodes(loss)
+    nodes = graph_nodes(loss)
     ad.backward(loss)
     inner = [n for n in nodes if not isinstance(n, ad.Param)]
     assert len(inner) == 5
@@ -346,10 +360,10 @@ def _aliased_shared_inputs(x):
 
 
 def _aliased_views(x):
-    t = ad.transpose(x, (1, 0))
+    t = ad.reshape(x, (4, 3))
     r = ad.reshape(t, (2, 6))
     w = ad.Tensor(np.random.default_rng(5).normal(size=(3, 2)))
-    return ad.add(ad.tmean(ad.square(r)), ad.tmean(ad.square(ad.matmul(t, w))))
+    return ad.add(ad.tmean(ad.square(r)), ad.tmean(ad.square(ad.linear(t, w))))
 
 
 def _broadcast_mean(x):
@@ -368,9 +382,9 @@ def test_param_gradients_match_a_zero_fill_reference_bit_for_bit(build):
 
 def test_first_gradient_of_a_transposed_view_keeps_its_layout():
     p = ad.Param(np.random.default_rng(0).normal(size=(4, 3)).T)
-    ad.backward(ad.tmean(ad.square(ad.matmul(p, ad.Tensor(np.ones((4, 2)))))))
+    ad.backward(ad.tmean(ad.square(ad.linear(p, ad.Tensor(np.ones((4, 2)))))))
     # backward drops an intermediate's grad, so this one is fed directly
-    t = ad.transpose(_param(1, (3, 4)), (1, 0))
+    t = ad.Tensor(_param(1, (3, 4)).data.T)
     t.accumulate(np.ones((4, 3)))
     for node in (p, t):
         assert not node.data.flags.c_contiguous
@@ -384,7 +398,7 @@ def test_first_gradient_of_a_transposed_view_keeps_its_layout():
                 min_size=1, max_size=4).filter(
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_softmax_rows_sum_to_one(rows):
-    out = ad.softmax_rows(ad.Tensor(np.array(rows))).data
+    out = attention_weights(np.array(rows))
     assert np.max(np.abs(out.sum(axis=-1) - 1.0)) < 1e-12
     assert (out >= 0).all()
 
@@ -393,13 +407,14 @@ def test_softmax_rows_sum_to_one(rows):
 @given(st.integers(0, 2**31 - 1))
 def test_matmul_gradient_property(seed):
     rng = np.random.default_rng(seed)
-    a = ad.Param(rng.normal(size=(2, 3)), name="a")
+    a = ad.Param(rng.normal(size=(2, 2, 3)), name="a")
     b = ad.Param(rng.normal(size=(3, 2)), name="b")
+    c = ad.Param(rng.normal(size=2), name="c")
 
     def forward():
-        return tsum(ad.square(ad.matmul(a, b)))
+        return tsum(ad.square(ad.linear(a, b, c)))
 
     ad.backward(forward())
-    for p in (a, b):
+    for p in (a, b, c):
         fd = fd_gradient(lambda: float(forward().data), p.data)
         assert grads_close(fd, p.grad)

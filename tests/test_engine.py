@@ -9,6 +9,7 @@ import pytest
 
 from spalmtl import autodiff as ad
 from spalmtl import engine
+from spalmtl.backbone import TOY
 from spalmtl.engine import (Batch, RunRecord, TrainPlan, aggregate_seeds,
                             batch_loss, build_mixed_batches, build_stream,
                             run_training, train_step,
@@ -16,8 +17,9 @@ from spalmtl.engine import (Batch, RunRecord, TrainPlan, aggregate_seeds,
 from spalmtl.errors import ConfigError, ContractError, SpalMtlError
 from spalmtl.model import MtlModel
 from spalmtl.optim import OptimizerState
+from spalmtl.synthdata import findata_shaped_suite, gen_synthetic_suite
 
-from conftest import TINY, copy_all_params, two_task_suite
+from conftest import TINY, copy_all_params, graph_nodes, two_task_suite
 
 
 def _shares(stream):
@@ -189,6 +191,27 @@ def test_trainable_flag_is_read_when_the_graph_is_built():
     train_step(model, Batch("alpha", examples), specs, state)
     for k, p in model.backbone.params.items():
         assert not np.array_equal(before[k], p.data), k
+
+
+def test_train_step_graph_size_is_pinned():
+    """One toy train step's graph (frozen backbone, SPAL hidden 4): 14
+    trainable Params (6 per SPAL, 2 in the head) and one node per op. Layer
+    1 records 20 ops: two attention blocks of 5 (q, k, v and output linears
+    around one fused attention), the SPAL's down and up linears, the
+    backbone's two residual adds, two layer norms, two feed-forward linears
+    and gelu, and the SPAL sum. Layer 0's backbone branch reads only frozen
+    values, so that layer records its SPAL and the sum (8). A sequence
+    classifier's loss adds pick, linear, cross_entropy, tmean and scale:
+    14 + 20 + 8 + 5 = 47."""
+    data = gen_synthetic_suite(findata_shaped_suite(seed=0))
+    model = MtlModel.build(TOY, [td.spec for td in data.values()], spal_hidden=4, seed=1)
+    counts = {}
+    for tid in ("tsa", "sc", "fsrl"):
+        spec = data[tid].spec
+        loss = batch_loss(model, spec, data[tid].train[:spec.batch_size])
+        counts[spec.kind] = len(graph_nodes(loss))
+    assert counts == {"seq_regression": 49, "seq_classification": 47,
+                      "token_classification": 48}
 
 
 def test_diverging_run_stops_at_first_non_finite_loss():

@@ -14,7 +14,7 @@ from spalmtl.tasks import (COMPANY_MARKER_ID, NUMBER_MARKER_ID, Head, TaskExampl
                            head_forward, insert_target_markers, spans_to_bio,
                            task_loss, task_metric, validate_example)
 
-from conftest import fd_gradient, grads_close, strip_target_markers
+from conftest import fd_gradient, grads_close, softmax, strip_target_markers
 
 
 def _encoding(x: np.ndarray, mask=None) -> Encoding:
@@ -136,7 +136,7 @@ def test_zero_head_gives_uniform_classes():
     head = _head("seq_classification", 4)
     head.w.data[:] = 0.0
     out = head_forward(_encoding(np.ones((3, 4))), head)
-    assert np.allclose(ad.softmax_rows(out).data, 0.25, atol=1e-15)
+    assert np.allclose(softmax(out.data), 0.25, atol=1e-15)
 
 
 def test_token_head_gives_per_token_logits():
@@ -150,7 +150,7 @@ def test_token_head_gives_per_token_logits():
 def test_classification_matches_affine_softmax_oracle():
     head = _head("seq_classification", 3, seed=4)
     x = np.random.default_rng(1).normal(size=(2, 4))
-    out = ad.softmax_rows(head_forward(_encoding(x), head)).data[0]
+    out = softmax(head_forward(_encoding(x), head).data)[0]
     logits = x[0] @ head.w.data + head.b.data
     exps = [math.exp(v - max(logits)) for v in logits]
     oracle = np.array(exps) / sum(exps)
@@ -196,7 +196,7 @@ def test_token_loss_masks_padding():
     pred = head_forward(_encoding(x), head)
     # a two-tag example padded to three positions: the third is not counted
     loss = task_loss(head.spec, pred, [np.array([0, 1])])
-    probs = ad.softmax_rows(pred).data[0]
+    probs = softmax(pred.data)[0]
     per_tok = -np.log(probs[np.arange(2), [0, 1]])
     assert float(loss.data) == pytest.approx(per_tok.mean(), abs=1e-12)
 
