@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import analysis as an
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -160,18 +162,42 @@ def cmd_eval(args) -> int:
     return 0
 
 
+class Cell(NamedTuple):
+    """One run of a grid: a task subset (in the config's task order) at a
+    SPAL hidden size and a seed, written to its own directory."""
+
+    tasks: tuple[str, ...]
+    spal_hidden: int | None
+    seed: int
+    out_dir: Path
+
+
+def _run_grid(cfg: RunConfig, data: dict[str, TaskData], cells: list[Cell]):
+    """Run the cells in order and yield each group's (tasks, spal_hidden,
+    records) once its last cell has run. A group is a run of consecutive
+    cells that share tasks and hidden size; one of two or more seeds gets an
+    `aggregate.json` in the parent of its cells' directories."""
+    cfgs = {h: dataclasses.replace(cfg, spal_hidden=h)  # checks each h before any run
+            for h in dict.fromkeys(c.spal_hidden for c in cells)}
+    for (tasks, h), group in itertools.groupby(cells, key=lambda c: (c.tasks, c.spal_hidden)):
+        group = list(group)
+        records = [execute_run(cfgs[h], c.seed, c.out_dir,
+                               data={tid: data[tid] for tid in tasks}) for c in group]
+        if len(records) >= 2:
+            write_aggregate_json(aggregate_seeds(records), group[0].out_dir.parent)
+        yield tasks, h, records
+
+
 def cmd_sweep_capacity(args) -> int:
     cfg = load_run_config(args.config)
-    hiddens = _parse_int_list(args.hidden, "--hidden") if args.hidden else DEFAULT_SWEEP_HIDDEN
-    seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else DEFAULT_SWEEP_SEEDS
+    hiddens = (DEFAULT_SWEEP_HIDDEN if args.hidden is None
+               else _parse_int_list(args.hidden, "--hidden"))
+    seeds = DEFAULT_SWEEP_SEEDS if args.seeds is None else _parse_int_list(args.seeds, "--seeds")
     out = Path(args.out) if args.out else Path(cfg.out_dir or "sweep")
-    run_cfgs = [dataclasses.replace(cfg, spal_hidden=h) for h in hiddens]  # checks each h
     data = cfg.build_data()
-    for h, run_cfg in zip(hiddens, run_cfgs):
-        records = [execute_run(run_cfg, seed, out / f"h{h}" / f"seed{seed}", data=data)
-                   for seed in seeds]
-        if len(records) >= 2:
-            write_aggregate_json(aggregate_seeds(records), out / f"h{h}")
+    cells = [Cell(tuple(data), h, seed, out / f"h{h}" / f"seed{seed}")
+             for h in hiddens for seed in seeds]
+    for _, h, records in _run_grid(cfg, data, cells):
         for tid in records[0].task_ids:
             scores = [r.best[tid]["score"] for r in records]
             print(f"h={h} {tid}: " + " ".join(f"{s:.4f}" for s in scores))
@@ -179,7 +205,11 @@ def cmd_sweep_capacity(args) -> int:
 
 
 def cmd_ablate_tasks(args) -> int:
+    """Stage i runs the config's tasks less the first i of --order. With
+    --seeds, each stage runs once per seed into `seed{S}/` and prints each
+    task's scores as a list; without, it runs the plan's seed in place."""
     cfg = load_run_config(args.config)
+    seeds = None if args.seeds is None else _parse_int_list(args.seeds, "--seeds")
     data = cfg.build_data()
     order = [t.strip() for t in args.order.split(",")]
     for i, tid in enumerate(order):
@@ -188,18 +218,17 @@ def cmd_ablate_tasks(args) -> int:
         if tid in order[:i]:
             raise ConfigError(f"--order names task {tid!r} twice")
     out = Path(args.out) if args.out else Path(cfg.out_dir or "ablation")
-    remaining = dict(data)
-    stage = 0
-    while len(remaining) >= 1:
-        stage_dir = out / f"stage{stage}_{'-'.join(sorted(remaining))}"
-        record = execute_run(cfg, cfg.plan.seed, stage_dir, data=dict(remaining))
-        best = {tid: record.best[tid]["score"] for tid in record.task_ids}
-        print(f"stage {stage} ({sorted(remaining)}): "
-              + json.dumps(best, sort_keys=True))
-        if stage >= len(order) or len(remaining) == 1:
-            break
-        remaining.pop(order[stage], None)
-        stage += 1
+    cells = []
+    for stage in range(min(len(order), len(data) - 1) + 1):
+        tasks = tuple(tid for tid in data if tid not in order[:stage])
+        stage_dir = out / f"stage{stage}_{'-'.join(sorted(tasks))}"
+        cells += ([Cell(tasks, cfg.spal_hidden, cfg.plan.seed, stage_dir)] if seeds is None
+                  else [Cell(tasks, cfg.spal_hidden, s, stage_dir / f"seed{s}") for s in seeds])
+    for stage, (tasks, _, records) in enumerate(_run_grid(cfg, data, cells)):
+        best = {tid: [r.best[tid]["score"] for r in records] for tid in records[0].task_ids}
+        if seeds is None:
+            best = {tid: scores[0] for tid, scores in best.items()}
+        print(f"stage {stage} ({sorted(tasks)}): " + json.dumps(best, sort_keys=True))
     return 0
 
 
@@ -270,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("ablate-tasks", help="cumulative leave-out schedule")
     a.add_argument("--config", required=True)
     a.add_argument("--order", required=True, help="comma-separated drop order")
+    a.add_argument("--seeds", default=None, help="e.g. 1-5 or 1,2,3")
     a.add_argument("--out", default=None)
     a.set_defaults(fn=cmd_ablate_tasks)
 

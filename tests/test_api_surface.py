@@ -1,7 +1,7 @@
 """The package holds no API that only tests call: every public top-level
 function, class and method in ``src/spalmtl`` is named in a program (the
-package, ``scripts/`` or ``perfbench/``) besides its own definition, or is
-exported in ``spalmtl.__all__``."""
+package or ``perfbench/``) besides its own definition, or is exported in
+``spalmtl.__all__``."""
 
 import ast
 import re
@@ -11,7 +11,7 @@ from pathlib import Path
 import spalmtl
 
 ROOT = Path(__file__).resolve().parent.parent
-PROGRAMS = ("src", "scripts", "perfbench")
+PROGRAMS = ("src", "perfbench")
 
 
 def _public_definitions(source: str):

@@ -2,22 +2,26 @@
 
 import argparse
 import json
+import shlex
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spalmtl.backbone import TOY
+from spalmtl.backbone import TOY, BackboneConfig
 from spalmtl.checkpoint import config_digest, load_checkpoint
-from spalmtl.cli import build_parser, main
+from spalmtl.cli import _parse_int_list, build_parser, main
 from spalmtl.dataio import read_json
-from spalmtl.engine import run_training
+from spalmtl.engine import TrainPlan, run_training
 from spalmtl.errors import ConfigError
 from spalmtl.runcfg import load_run_config, parse_run_config
-from spalmtl.synthdata import findata_shaped_suite
+from spalmtl.synthdata import GeneratorSpec, SynthTaskSpec, findata_shaped_suite
 
 from conftest import read_matrix_csv
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 BACKBONE = {"num_layers": 2, "model_dim": 8, "num_heads": 2, "ff_dim": 16,
             "vocab_size": 128, "max_seq_len": 16}
@@ -77,10 +81,23 @@ def test_unknown_top_level_key_rejected():
 
 
 def test_criterion3_config_is_the_findata_shaped_suite():
-    path = Path(__file__).resolve().parents[1] / "configs" / "criterion3_toy.json"
+    path = CONFIGS / "criterion3_toy.json"
     cfg = parse_run_config(read_json(path), base_dir=path.parent)
     assert cfg.data.generator == findata_shaped_suite(seed=0)
     assert (cfg.backbone, cfg.spal_hidden, cfg.plan.epochs, cfg.plan.seed) == (TOY, 4, 11, 1)
+
+
+def test_positive_transfer_config_is_criterion_10s_setup():
+    cfg = load_run_config(CONFIGS / "positive_transfer_toy.json")
+    assert cfg.backbone == BackboneConfig(num_layers=2, model_dim=16, num_heads=2, ff_dim=32,
+                                          vocab_size=128, max_seq_len=16)
+    assert (cfg.spal_hidden, cfg.probe) == (8, False)
+    assert cfg.plan == TrainPlan(epochs=40, eval_interval=16, seed=1, base_lr=1e-2,
+                                 warmup_steps=20)
+    tasks = tuple(SynthTaskSpec(t, "seq_classification", (64, 32, 32), 1.0,
+                                num_classes=2, batch_size=8) for t in ("alpha", "beta"))
+    assert cfg.data.generator == GeneratorSpec(tasks=tasks, vocab_size=96, seq_len=(6, 8),
+                                               latent_dim=3, bins=6, seed=0)
 
 
 def test_unknown_plan_key_rejected():
@@ -103,7 +120,7 @@ def test_unknown_analysis_key_rejected():
 
 
 def test_readme_minimal_config_parses():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("A minimal config:\n\n```json\n", 1)[1].split("```", 1)[0]
     cfg = parse_run_config(json.loads(block))
     assert cfg.spal_hidden == 12 and cfg.analysis.rep_gen
@@ -111,7 +128,7 @@ def test_readme_minimal_config_parses():
 
 
 def test_readme_cli_block_names_every_subcommand():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
     named = [line.split()[1] for line in block.splitlines() if line.startswith("spalmtl ")]
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
@@ -346,13 +363,19 @@ def test_negative_seed_flag_is_cli_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--hidden", "x"), ("--seeds", "5-1"),
-    ("--seeds", "1,1"), ("--hidden", "4,4"), ("--hidden", "2-6,4")])
+    ("--seeds", "1,1"), ("--hidden", "4,4"), ("--hidden", "2-6,4"),
+    ("--hidden", ""), ("--seeds", "")])
 def test_bad_sweep_list_is_cli_error(tmp_path, capsys, flag, value):
+    """ablate-tasks reads --seeds as sweep-capacity does."""
     cfg = _write_config(tmp_path)
-    assert main(["sweep-capacity", "--config", str(cfg), flag, value,
-                 "--out", str(tmp_path / "sweep")]) == 1
-    assert f"error: {flag}" in capsys.readouterr().err
-    assert not (tmp_path / "sweep").exists()
+    commands = [["sweep-capacity"]]
+    if flag == "--seeds":
+        commands.append(["ablate-tasks", "--order", "alpha"])
+    for command in commands:
+        assert main(command + ["--config", str(cfg), flag, value,
+                               "--out", str(tmp_path / "sweep")]) == 1
+        assert f"error: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_zero_hidden_is_cli_error(tmp_path, capsys):
@@ -393,6 +416,66 @@ def test_ablate_order_naming_a_task_twice_is_cli_error(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: --order names task 'alpha' twice\n"
     assert not out.exists()
+
+
+def _same_files(a: Path, b: Path) -> None:
+    assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
+    for p in a.iterdir():
+        assert p.read_bytes() == (b / p.name).read_bytes(), p.name
+
+
+def test_sweep_cell_is_a_plain_train(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep-capacity", "--config", str(_write_config(tmp_path)),
+                 "--hidden", "2,4", "--seeds", "1-2", "--out", str(out)]) == 0
+    lone = _write_config(tmp_path, "h2.json", spal_hidden=2)
+    assert main(["train", "--config", str(lone), "--seed", "2",
+                 "--out", str(tmp_path / "train")]) == 0
+    _same_files(out / "h2" / "seed2", tmp_path / "train")
+
+
+def test_ablate_stage_is_a_plain_train_of_the_leading_tasks(tmp_path, capsys):
+    """The generator seeds each task by its list index, so only a trailing
+    drop leaves the other tasks' data as it was."""
+    out = tmp_path / "ablate"
+    assert main(["ablate-tasks", "--config", str(_write_config(tmp_path)),
+                 "--order", "beta", "--seeds", "1-2", "--out", str(out)]) == 0
+    stage1 = capsys.readouterr().out.splitlines()[1]
+    assert stage1.startswith("stage 1 (['alpha']): {\"alpha\": [")
+    for stage in ("stage0_alpha-beta", "stage1_alpha"):
+        assert json.loads((out / stage / "aggregate.json").read_text())["seeds"] == [1, 2]
+    gen = json.loads(json.dumps(GENERATOR))
+    del gen["tasks"][1]
+    lone = _write_config(tmp_path, "alpha.json", data={"generator": gen})
+    assert main(["train", "--config", str(lone), "--seed", "2",
+                 "--out", str(tmp_path / "train")]) == 0
+    _same_files(out / "stage1_alpha" / "seed2", tmp_path / "train")
+
+
+def _readme_config_commands() -> dict[str, list[str]]:
+    """README's experiment-config commands as argv, by config file name."""
+    section = (ROOT / "README.md").read_text().split("## Experiment configs", 1)[1]
+    commands = [shlex.split(line)[1:] for line in section.splitlines()
+                if line.startswith("spalmtl ")]
+    return {Path(argv[argv.index("--config") + 1]).name: argv for argv in commands}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_checked_in_config_runs_its_readme_command(tmp_path, monkeypatch, name):
+    """At one epoch, the first seed and the smallest hidden size."""
+    argv = _readme_config_commands()[name]
+    cfg = read_json(CONFIGS / name)
+    cfg["plan"]["epochs"] = 1
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    argv[argv.index("--config") + 1] = str(path)
+    for flag in ("--seeds", "--hidden"):
+        if flag in argv:
+            i = argv.index(flag) + 1
+            argv[i] = str(min(_parse_int_list(argv[i], flag)))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert list(tmp_path.rglob("run.json"))
 
 
 def test_transfer_finetunes_from_checkpoint(tmp_path, capsys):
