@@ -8,11 +8,10 @@ zeroed before returning).
 Diagnostics share training's batched forward (``MtlModel.encode_examples``).
 ``task_mean_representation`` encodes each example once, in no-graph padded
 batches of ``FORWARD_CHUNK``, and pools every requested layer; rep-gen and
-the text embedding use it. ``_mean_loss_gradient`` backpropagates a task's
-mean loss in chunks of at most ``spec.batch_size`` examples, so no graph is
-larger than a training step on that task: the gradient snapshot is one call
-over the split, the task embedding one call per example (its squares need
-per-example gradients).
+the text embedding use it. ``_chunk_grads`` backpropagates a task's loss in
+chunks of at most ``spec.batch_size`` examples, so no graph outgrows a
+training step on that task: the gradient snapshot sums the chunks' mean-loss
+shares, and the task embedding takes each chunk as one per-row backward.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .model import FORWARD_CHUNK, MtlModel
+from .model import FORWARD_CHUNK, GRAD_ROW_BYTES, MtlModel
 from .tasks import TaskData, TaskSpec, head_forward, task_loss
 
 @dataclass
@@ -118,23 +117,26 @@ def reported_layers(num_layers: int) -> list[int]:
 # gradient snapshots
 # ---------------------------------------------------------------------------
 
-def _mean_loss_gradient(model: MtlModel, spec: TaskSpec, examples: list) -> np.ndarray:
-    """Gradient of the task's mean loss over the examples with respect to
-    the shared trainable params, flattened in name-sorted order. Each chunk
-    of at most ``spec.batch_size`` examples is one forward and backward (as
-    in ``engine.batch_loss``), its loss weighted by its share of the
-    examples; the grad buffers are zeroed before and after."""
+def _chunk_grads(model: MtlModel, spec: TaskSpec, examples: list, size: int,
+                 per_row: bool = False):
+    """One forward and backward per chunk of at most ``size`` examples (as
+    in ``engine.batch_loss``), yielding the shared trainable params' grads
+    after each. By default a chunk adds its share of the examples' mean loss
+    gradient; with ``per_row``, row b of a chunk's grads is its example b's
+    loss gradient. Grad buffers are zeroed before and after."""
+    params = model.shared_trainable_params()
     model.zero_grads()
-    for start in range(0, len(examples), spec.batch_size):
-        chunk = examples[start:start + spec.batch_size]
+    for start in range(0, len(examples), size):
+        chunk = examples[start:start + size]
         logits = head_forward(model.encode_examples(chunk), model.heads[spec.id])
         loss = task_loss(spec, logits, [ex.label for ex in chunk])
-        ad.backward(ad.scale(loss, len(chunk) / len(examples)))
-    grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-             for p in model.shared_trainable_params()]
-    vec = np.concatenate([g.ravel() for g in grads]) if grads else np.zeros(0)
+        weight, rows = (len(chunk), len(chunk)) if per_row else (len(chunk) / len(examples), None)
+        ad.backward(ad.scale(loss, weight), rows=rows)
+        yield [np.zeros((len(chunk),) * per_row + p.data.shape) if p.grad is None
+               else p.grad for p in params]
+        if per_row:
+            model.zero_grads()
     model.zero_grads()
-    return vec
 
 
 def snapshot_task_gradient(model: MtlModel, spec: TaskSpec, examples: list,
@@ -144,8 +146,9 @@ def snapshot_task_gradient(model: MtlModel, spec: TaskSpec, examples: list,
     No optimizer step happens; params are untouched."""
     if not examples:
         raise ContractError("snapshot_task_gradient needs a non-empty split")
+    *_, grads = _chunk_grads(model, spec, examples, spec.batch_size)
     return GradientSnapshot(task_id=spec.id, step=step,
-                            vector=_mean_loss_gradient(model, spec, examples))
+                            vector=np.concatenate([np.zeros(0)] + [g.ravel() for g in grads]))
 
 
 def gradient_similarity_matrix(snapshots: list[GradientSnapshot]) -> SimilarityMatrix:
@@ -175,13 +178,24 @@ def probe_contributions(model: MtlModel) -> list[float]:
 # task / text embeddings
 # ---------------------------------------------------------------------------
 
+def embedding_chunk(batch_size: int, num_params: int) -> int:
+    """Examples per task-embedding backward: a batch, or as many as fit
+    ``GRAD_ROW_BYTES`` of float64 per-row gradients."""
+    return min(batch_size, max(1, GRAD_ROW_BYTES // (8 * max(num_params, 1))))
+
+
 def task_embedding(model: MtlModel, spec: TaskSpec, examples: list) -> np.ndarray:
     """Diagonal empirical Fisher over shared trainable params: mean of the
-    squared per-example loss gradient, flattened canonically. Each example
-    is its own backward: a batch backward yields only the summed gradient."""
+    squared per-example loss gradient, flattened canonically. Each chunk is
+    one per-row backward, whose squared rows are summed per parameter."""
     if not examples:
         raise ContractError("task_embedding needs a non-empty dataset")
-    return sum(_mean_loss_gradient(model, spec, [ex]) ** 2 for ex in examples) / len(examples)
+    sq = [np.zeros_like(p.data) for p in model.shared_trainable_params()]
+    size = embedding_chunk(spec.batch_size, sum(s.size for s in sq))
+    for grads in _chunk_grads(model, spec, examples, size, per_row=True):
+        for s, g in zip(sq, grads):
+            s += (g * g).sum(axis=0)
+    return np.concatenate([np.zeros(0)] + [s.ravel() for s in sq]) / len(examples)
 
 
 def text_embedding(model: MtlModel, examples: list) -> np.ndarray:

@@ -13,6 +13,11 @@ its data is a constant. ``Param`` grads accumulate across graphs until the
 caller zeroes them. The graph is rebuilt on every forward pass, and a
 flipped ``trainable`` flag takes effect on the next one.
 
+``backward(loss, rows=B)`` is for a loss that sums B independent batch
+rows: each Param's grad, and a 0-d value's on the Param side (the probe's
+scalars), gains a leading [B] axis that holds each row's own gradient
+(Goodfellow, arXiv 1510.01799). A Param given any other share raises.
+
 Only values that lead back to a trainable ``Param`` are recorded:
 ``Tensor.__init__`` keeps a pair only when its input requires a gradient
 (a Param's ``trainable`` flag, or for any other tensor, any recorded
@@ -66,6 +71,7 @@ __all__ = [
 ]
 
 _graph = True  # False inside no_graph()
+_rows: int | None = None  # the batch size inside a per-row backward
 
 Vjp = Callable[[np.ndarray], np.ndarray]
 
@@ -101,11 +107,16 @@ class Tensor:
         return bool(self._parents)
 
     def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:  # empty_like keeps data's layout for BLAS
+        per_row = _rows is not None and isinstance(self, Param)
+        if per_row and np.shape(g) != (_rows,) + self.data.shape:
+            raise ContractError(f"{self.name}: no [{_rows}, ...] gradient, got {np.shape(g)}")
+        if self.grad is not None:
+            self.grad += g
+        elif per_row or (_rows is not None and not self.data.ndim):
+            self.grad = np.array(g, dtype=np.float64)  # [B, ...], or a 0-d loss-side share
+        else:  # empty_like keeps data's layout for BLAS
             self.grad = np.empty_like(self.data)
             self.grad[...] = g
-        else:
-            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -129,10 +140,11 @@ class Param(Tensor):
         return f"Param({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, rows: int | None = None) -> None:
     """Populate ``grad`` on every Param reachable from ``loss`` that requires
     a gradient, consuming the graph; a loss that requires none is a no-op.
-    ``loss`` must be scalar (size 1)."""
+    ``loss`` must be scalar (size 1); ``rows`` is the per-row mode (module docstring)."""
+    global _rows
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -160,11 +172,15 @@ def backward(loss: Tensor) -> None:
     # Every recorded node lies on a path to the loss, so its consumers have
     # run and its grad is set by the time it is reached.
     loss.accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
-        if not isinstance(node, Param):  # a Param keeps its grad
-            for parent, vjp in node._parents:
-                parent.accumulate(vjp(node.grad))
-            node.grad = node._parents = None
+    _rows = rows
+    try:
+        for node in reversed(topo):
+            if not isinstance(node, Param):  # a Param keeps its grad
+                for parent, vjp in node._parents:
+                    parent.accumulate(vjp(node.grad))
+                node.grad = node._parents = None
+    finally:
+        _rows = None
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +188,19 @@ def backward(loss: Tensor) -> None:
 #
 # Each op returns its value with one (input, vjp) pair per input. A vjp runs
 # only for an input that requires a gradient; it returns that input's share
-# of the gradient, which may be a broadcastable or read-only view.
+# of the gradient, which may be a broadcastable or read-only view. In a
+# per-row backward, the vjps that reach a Param keep the batch axis.
 # ---------------------------------------------------------------------------
 
 def _same(g: np.ndarray) -> np.ndarray:
     return g
+
+
+def _rowwise(a: np.ndarray, n: int) -> np.ndarray:
+    """a as [rows, n], or as [B, rows, n] inside a per-row backward."""
+    if _rows is not None and a.shape[0] != _rows:
+        raise ShapeError(f"a per-row backward over {_rows} rows met a batch of {a.shape[0]}")
+    return a.reshape(-1, n) if _rows is None else a.reshape(_rows, -1, n)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -187,10 +211,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     shape, rows = x.data.shape, x.data.reshape(-1, k)
     out = (rows @ w.data).reshape(shape[:-1] + (n,))
     pairs = [(x, lambda g: (g.reshape(-1, n) @ w.data.T).reshape(shape)),
-             (w, lambda g: rows.T @ g.reshape(-1, n))]
+             (w, lambda g: np.swapaxes(_rowwise(x.data, k), -1, -2) @ _rowwise(g, n))]
     if b is not None:
         out += b.data
-        pairs.append((b, lambda g: g.reshape(-1, n).sum(axis=0)))
+        pairs.append((b, lambda g: _rowwise(g, n).sum(axis=-2)))
     return Tensor(out, pairs)
 
 
@@ -265,9 +289,10 @@ def scale_by_scalar(x: Tensor, s: Tensor) -> Tensor:
     if s.data.size != 1:
         raise ShapeError(f"scale_by_scalar expects a scalar, got shape {s.data.shape}")
     sval = float(s.data.reshape(()))
-    return Tensor(x.data * sval,
-                  ((x, lambda g: g * sval),
-                   (s, lambda g: np.array((g * x.data).sum()).reshape(s.data.shape))))
+    return Tensor(x.data * sval, (
+        (x, lambda g: g * sval),
+        (s, lambda g: np.array((g * x.data).sum()).reshape(s.data.shape) if _rows is None
+         else (g * x.data).reshape(_rows, -1).sum(axis=1).reshape((_rows,) + s.data.shape))))
 
 
 def one_minus(x: Tensor) -> Tensor:
@@ -299,8 +324,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         return inv * (gx_hat - m1 - xhat * m2)
 
     return Tensor(out, ((x, vjp_x),
-                        (gain, lambda g: (g * xhat).reshape(-1, d).sum(axis=0)),
-                        (bias, lambda g: g.reshape(-1, d).sum(axis=0))))
+                        (gain, lambda g: _rowwise(g * xhat, d).sum(axis=-2)),
+                        (bias, lambda g: _rowwise(g, d).sum(axis=-2))))
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -344,9 +369,9 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: out[...] = weight[ids[...]] for ids of any shape."""
     ids = np.asarray(ids, dtype=np.int64)
 
-    def vjp(g):
-        gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids, g)
+    def vjp(g):  # per row, ids' leading axis is the batch
+        gw = np.zeros(weight.data.shape if _rows is None else (_rows,) + weight.data.shape)
+        np.add.at(gw, ids if _rows is None else (np.indices(ids.shape, sparse=True)[0], ids), g)
         return gw
 
     return Tensor(weight.data[ids], ((weight, vjp),))

@@ -13,6 +13,7 @@ from .spal import SpalConfig, SpalStack, attach_spals
 from .tasks import Head, TaskSpec
 
 FORWARD_CHUNK = 64  # examples per no-graph forward (evaluation, rep-gen)
+GRAD_ROW_BYTES = 1 << 25  # per-row gradients held by one task-embedding backward
 
 
 class ProbeWeights:

@@ -5,7 +5,7 @@ z_private, both drawn per example. The first latent_dim tokens quantize u
 (so labels are learnable from tokens alone); the rest is filler. Label
 functions depend only on the generator seed, task kind and class count, so
 tasks alike in kind and count share one labeling function at every rho: for
-now rho only rescales u (ROADMAP item 3 is to make it enter the labels).
+now rho only rescales u (ROADMAP item 2 is to make it enter the labels).
 Latents (and planted spans) are stored on each example: labels can always be
 re-derived, the generator ships its own oracle.
 """

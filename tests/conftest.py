@@ -8,7 +8,7 @@ from spalmtl.analysis import SimilarityMatrix
 from spalmtl.backbone import BackboneConfig
 from spalmtl.model import MtlModel
 from spalmtl.synthdata import GeneratorSpec, SynthTaskSpec, gen_synthetic_suite
-from spalmtl.tasks import MARKER_IDS, TaskSpec
+from spalmtl.tasks import MARKER_IDS, TaskSpec, head_forward, task_loss
 
 
 TINY = BackboneConfig(num_layers=2, model_dim=8, num_heads=2, ff_dim=16,
@@ -55,6 +55,30 @@ def graph_nodes(loss: ad.Tensor) -> list[ad.Tensor]:
             stack.append((node, True))
             stack += [(p, False) for p, _ in node._parents if id(p) not in seen]
     return topo
+
+
+def per_example_grads(model, spec, examples) -> list[dict[str, np.ndarray]]:
+    """The one-example oracle: for each example, one forward and one
+    backward of its loss alone, and every trainable param's grad (zeros
+    where nothing reached it)."""
+    out = []
+    for ex in examples:
+        model.zero_grads()
+        logits = head_forward(model.encode_examples([ex]), model.heads[spec.id])
+        ad.backward(task_loss(spec, logits, [ex.label]))
+        out.append({k: np.zeros_like(p.data) if p.grad is None else p.grad
+                    for k, p in model.all_params().items() if p.trainable})
+    model.zero_grads()
+    return out
+
+
+def task_embedding_oracle(model, spec, examples) -> np.ndarray:
+    """The task embedding from one backward per example: the mean over the
+    examples of the squared shared-trainable gradient, flattened in
+    name-sorted order."""
+    names = sorted(k for k, p in model.trunk_params().items() if p.trainable)
+    return sum(np.concatenate([grads[k].ravel() for k in names]) ** 2
+               for grads in per_example_grads(model, spec, examples)) / len(examples)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

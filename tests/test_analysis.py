@@ -10,12 +10,15 @@ import pytest
 
 from spalmtl import analysis as an
 from spalmtl import autodiff as ad
+from spalmtl.backbone import BERT_BASE, TOY
 from spalmtl.engine import evaluate_task
 from spalmtl.errors import ContractError
 from spalmtl.model import MtlModel
+from spalmtl.spal import SpalConfig, count_spal_params
 from spalmtl.tasks import TaskExample
 
-from conftest import TINY, copy_all_params, fd_gradient, grads_close, two_task_suite
+from conftest import (TINY, copy_all_params, fd_gradient, grads_close, task_embedding_oracle,
+                      two_task_suite)
 
 
 def _build(data, seed=1, probe=False):
@@ -197,9 +200,10 @@ def test_snapshot_equals_single_graph_mean_loss_gradient(n):
 
 @pytest.mark.parametrize("diagnostic", ["snapshot", "task_embedding"])
 def test_gradient_diagnostics_backpropagate_training_sized_chunks(monkeypatch, diagnostic):
-    """Encodes and backward passes alternate. A snapshot encodes batches of
-    at most ``batch_size`` rows that cover the split once; the task
-    embedding encodes one example per backward. No gradient is left over."""
+    """Encodes and backward passes alternate, over chunks that cover the
+    split once: at most ``batch_size`` rows for a snapshot, and at most
+    ``embedding_chunk``'s rows, each chunk one per-row backward, for the
+    task embedding. No gradient is left over."""
     data = two_task_suite(batch_size=4)
     model = _build(data)
     spec, examples = data["alpha"].spec, data["alpha"].train[:10]
@@ -215,20 +219,21 @@ def test_gradient_diagnostics_backpropagate_training_sized_chunks(monkeypatch, d
         rows.append([unpadded(r) for r in token_ids])
         return encode(token_ids, *args, **kwargs)
 
-    def spy_backward(loss):
+    def spy_backward(loss, **kwargs):
         calls.append("backward")
-        backward(loss)
+        backward(loss, **kwargs)
 
     monkeypatch.setattr(model, "encode", spy_encode)
     monkeypatch.setattr(ad, "backward", spy_backward)
     if diagnostic == "snapshot":
         an.snapshot_task_gradient(model, spec, examples, 0)
-        assert all(len(r) <= spec.batch_size for r in rows)
-        assert len(rows) == -(-len(examples) // spec.batch_size)
+        size = spec.batch_size
     else:
         an.task_embedding(model, spec, examples)
-        assert all(len(r) == 1 for r in rows)
-        assert len(rows) == len(examples)
+        size = an.embedding_chunk(spec.batch_size, sum(
+            p.data.size for p in model.shared_trainable_params()))
+    assert all(len(r) <= size for r in rows)
+    assert len(rows) == -(-len(examples) // size)
     assert calls == ["encode", "backward"] * len(rows)
     encoded = sorted(r for chunk in rows for r in chunk)
     assert encoded == sorted(unpadded(ex.token_ids) for ex in examples)
@@ -401,6 +406,31 @@ def test_task_embedding_averages_over_examples():
     per = [an.task_embedding(model, spec, [e]) for e in exs]
     both = an.task_embedding(model, spec, exs)
     assert np.max(np.abs(both - (per[0] + per[1]) / 2)) < 1e-12
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["plain", "probe"])
+def test_task_embedding_matches_one_example_oracle(probe):
+    """Chunks of 4, 4 and 2 mixed-length examples, against one backward per
+    example."""
+    data = two_task_suite(batch_size=4)
+    model = _build(data, probe=probe)
+    spec, examples = data["alpha"].spec, data["alpha"].train[:10]
+    assert len({ex.token_ids.size for ex in examples}) > 1
+    want = task_embedding_oracle(model, spec, examples)
+    got = an.task_embedding(model, spec, examples)
+    assert np.linalg.norm(want) > 0
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_embedding_chunk_rule():
+    """A bert-base SPAL stack at h=204 holds 46 MB of gradient per row, so
+    its task embedding backpropagates one example at a time; a toy stack's
+    chunk is a training batch."""
+    bert = count_spal_params(SpalConfig(204), BERT_BASE)
+    assert 8 * bert > 46e6
+    assert an.embedding_chunk(16, bert) == 1
+    assert an.embedding_chunk(16, count_spal_params(SpalConfig(4), TOY)) == 16
+    assert an.embedding_chunk(16, 0) == 16
 
 
 def test_text_embedding_single_example_and_self_cosine():

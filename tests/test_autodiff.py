@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spalmtl import autodiff as ad
-from spalmtl.backbone import MASK_NEG
+from spalmtl.backbone import MASK_NEG, TOY
 from spalmtl.errors import ContractError, ShapeError
+from spalmtl.model import MtlModel
+from spalmtl.tasks import head_forward, task_loss
 
 from conftest import (attention_oracle, attention_weights, fd_gradient, graph_nodes,
-                      grads_close, tsum)
+                      grads_close, per_example_grads, tsum, two_task_suite)
 
 
 # -- forward values ---------------------------------------------------------
@@ -320,6 +322,73 @@ def _zero_fill_grads(loss):
 
 def _param(seed, shape):
     return ad.Param(np.random.default_rng(seed).normal(size=shape), name=f"p{seed}")
+
+
+# -- per-row backward -------------------------------------------------------
+
+@pytest.mark.parametrize("kind, frozen", [
+    ("seq_regression", True), ("seq_classification", True),
+    ("token_classification", True), ("seq_classification", False)],
+    ids=["regression", "classification", "tagging", "unfrozen"])
+def test_per_row_backward_matches_one_example_oracle(kind, frozen):
+    """Row b of each trainable param's grad is example b's loss gradient, on
+    a probed toy model and a batch of mixed lengths (padded rows). Unfrozen,
+    the backbone's embedding and layer_norm params get per-row grads too.
+
+    Each param's grad is held to 1e-12 of its norm, plus 1e-15 of the whole
+    gradient's norm for round-off: two grads are sums whose terms cancel
+    almost exactly. The attention key biases' exact gradient is zero (a
+    shift of every key score leaves the softmax unchanged), and layer 0's
+    probe scalars feed a layer_norm, which cancels all but about 1e-5 of
+    their sum."""
+    data = two_task_suite(kind=kind, num_classes=1 if kind == "seq_regression" else 3)
+    spec, examples = data["alpha"].spec, data["alpha"].train[:6]
+    assert len({ex.token_ids.size for ex in examples}) > 1
+    model = MtlModel.build(TOY, [spec], spal_hidden=4, seed=5,
+                           freeze_backbone=frozen, probe=True)
+    rng = np.random.default_rng(0)
+    for p in model.trunk_params().values():  # off the zero init, so every grad is nonzero
+        if p.name.endswith(".up") or p.name.startswith("probe."):
+            p.data = rng.normal(0.0, 0.5, p.data.shape)
+    want = per_example_grads(model, spec, examples)
+
+    logits = head_forward(model.encode_examples(examples), model.heads[spec.id])
+    loss = task_loss(spec, logits, [ex.label for ex in examples])
+    ad.backward(ad.scale(loss, len(examples)), rows=len(examples))
+    got = {k: p.grad for k, p in model.all_params().items() if p.trainable}
+    assert got.keys() == want[0].keys()
+    assert ("backbone.word_emb" in got) != frozen
+    for b, grads in enumerate(want):
+        whole = np.linalg.norm(np.concatenate([g.ravel() for g in grads.values()]))
+        for k, g in got.items():
+            assert g.shape == (len(examples),) + grads[k].shape
+            err = np.linalg.norm(g[b] - grads[k])
+            assert err <= 1e-12 * np.linalg.norm(grads[k]) + 1e-15 * whole, (k, b)
+
+
+def test_per_row_backward_refuses_a_param_without_a_per_row_rule():
+    p = ad.Param(np.ones((2, 3)), name="no.rule")
+    with pytest.raises(ContractError, match="no.rule"):
+        ad.backward(tsum(ad.square(p)), rows=2)
+
+
+def test_per_row_backward_refuses_a_row_count_that_is_not_the_batch():
+    x, w = ad.Tensor(np.ones((4, 3))), _param(1, (3, 2))
+    with pytest.raises(ShapeError, match="2 rows met a batch of 4"):
+        ad.backward(tsum(ad.linear(x, w)), rows=2)
+
+
+def test_per_row_mode_ends_when_a_vjp_raises():
+    """Outside a backward, a vjp gives the whole batch's share again."""
+    w = _param(1, (4, 2))
+    (_, w_vjp), = ad.linear(ad.Tensor(np.ones((3, 4))), w)._parents
+
+    def broken(g):
+        raise KeyError("vjp")
+
+    with pytest.raises(KeyError):
+        ad.backward(ad.Tensor(np.zeros(()), ((w, broken),)), rows=3)
+    assert np.array_equal(w_vjp(np.ones((3, 2))), np.full((4, 2), 3.0))
 
 
 def test_backward_consumes_every_non_param_node():
