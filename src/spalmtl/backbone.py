@@ -151,6 +151,25 @@ def _backbone_layer(x: Tensor, mask: np.ndarray, bb: Backbone, i: int) -> Tensor
     return ad.layer_norm(ad.add(x, h), p[f"{pre}.ln2.gain"], p[f"{pre}.ln2.bias"])
 
 
+def check_token_ids(token_ids, config: BackboneConfig) -> np.ndarray:
+    """`token_ids` as an int64 [batch, seq] array whose rows fit `config`: at
+    most `max_seq_len` ids, each in the vocabulary, not all `padding_token_id`."""
+    ids = np.asarray(token_ids, dtype=np.int64)
+    if ids.ndim != 2:
+        raise DataError(f"token ids must be a [batch, seq] array, got shape {ids.shape}")
+    if ids.shape[1] > config.max_seq_len:
+        raise DataError(f"{ids.shape[1]} tokens exceed the backbone's "
+                        f"max_seq_len {config.max_seq_len}")
+    if (bad := np.argwhere((ids < 0) | (ids >= config.vocab_size))).size:
+        r, pos = bad[0]
+        raise DataError(f"token id {ids[r, pos]} outside the backbone's vocabulary "
+                        f"0..{config.vocab_size - 1}, at position {pos} of row {r}")
+    if (empty := np.flatnonzero((ids == config.padding_token_id).all(axis=1))).size:
+        raise DataError(f"tokens must hold a non-padding id (the backbone pads with "
+                        f"{config.padding_token_id}), but row {empty[0]} holds none")
+    return ids
+
+
 def encode(token_ids, backbone: Backbone,
            spals: "SpalStack | None" = None,
            probe: "ProbeWeights | None" = None) -> Encoding:
@@ -163,18 +182,8 @@ def encode(token_ids, backbone: Backbone,
     two branches are blended as w*frozen + (1-w)*spal instead.
     """
     cfg = backbone.config
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 2:
-        raise DataError(f"token ids must be a [batch, seq] array, got shape {ids.shape}")
+    ids = check_token_ids(token_ids, cfg)
     mask = ids != cfg.padding_token_id
-    if not mask.any(axis=1).all():
-        raise DataError("sequence is empty after padding removal")
-    bad = np.argwhere((ids < 0) | (ids >= cfg.vocab_size))
-    if bad.size:
-        r, pos = bad[0]
-        raise DataError(f"token id {ids[r, pos]} out of range at position {pos} of row {r}")
-    if ids.shape[1] > cfg.max_seq_len:
-        raise DataError(f"sequence length {ids.shape[1]} exceeds max {cfg.max_seq_len}")
 
     p = backbone.params
     positions = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)

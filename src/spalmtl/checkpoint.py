@@ -32,7 +32,7 @@ import numpy as np
 from .autodiff import Param
 from .backbone import Backbone, BackboneConfig, backbone_shapes
 from .dataio import from_json, parse_json
-from .errors import (CheckpointDigestError, CheckpointFormatError,
+from .errors import (CheckpointDigestError, CheckpointError, CheckpointFormatError,
                      CheckpointTruncatedError, CheckpointVersionError, ConfigError)
 from .model import MtlModel
 from .optim import OptimizerState
@@ -133,7 +133,11 @@ def save_checkpoint(model: MtlModel, path,
 
 
 def load_checkpoint(path) -> tuple[MtlModel, OptimizerState | None]:
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    with f:
         magic, version, hlen = struct.unpack("<4sII", _read(f, 12))
         if magic != MAGIC:
             raise CheckpointFormatError(f"bad magic bytes {magic!r}")

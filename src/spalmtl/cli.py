@@ -31,9 +31,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     """Accept '1,2,3' and '1-5' forms; no range may be empty, no value repeat."""
     out: list[int] = []
     for part in text.split(","):
-        lo, _, hi = part.strip().partition("-")
+        lo, dash, hi = part.strip().partition("-")
         try:
-            span = range(int(lo), int(hi or lo) + 1)
+            span = range(int(lo), int(hi if dash else lo) + 1)
         except ValueError:
             raise ConfigError(f"{flag} takes integers or ranges (1-5), got {text!r}") from None
         if not span:
@@ -98,8 +98,10 @@ def _final_diagnostics(model: MtlModel, data: dict[str, TaskData], embeddings: b
 def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
                 data: dict[str, TaskData] | None = None) -> RunRecord:
     """Train one model under the config, collecting any configured
-    diagnostics, and emit all artifacts to out_dir."""
+    diagnostics, and emit all artifacts to out_dir, which is created first."""
     plan = dataclasses.replace(cfg.plan, seed=seed)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     if data is None:
         data = cfg.build_data()
     model = cfg.build_model(data, seed)
@@ -112,17 +114,13 @@ def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
     record = run_training(plan, model, data, on_step=on_step)
     final = _final_diagnostics(model, data, analysis.embeddings)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         emit_metrics(record, out_dir, repgen=repgen if analysis.rep_gen else None,
                      gradsim=gradsim if analysis.grad_snapshots else None, **final)
-        current = model.snapshot()
+        save_checkpoint(model, out_dir / "ckpt_final.spal",
+                        optimizer=record.optimizer_state)
         for tid, snap in record.best_snapshots.items():
             model.restore(snap)
             save_checkpoint(model, out_dir / f"ckpt_{record.best[tid]['checkpoint_id']}.spal")
-        model.restore(current)
-        save_checkpoint(model, out_dir / "ckpt_final.spal",
-                        optimizer=record.optimizer_state)
     return record
 
 
@@ -131,9 +129,11 @@ def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    data = gen_synthetic_suite(from_json(GeneratorSpec, read_json(args.config), "generator"))
+    spec = from_json(GeneratorSpec, read_json(args.config), "generator")
     out = Path(args.out)
-    for tid, td in sorted(data.items()):
+    for t in spec.tasks:
+        (out / t.id).mkdir(parents=True, exist_ok=True)
+    for tid, td in sorted(gen_synthetic_suite(spec).items()):
         for split in ("train", "dev", "test"):
             save_jsonl_dataset(out / tid / f"{split}.jsonl", td.split(split))
         print(f"{tid}: train={len(td.train)} dev={len(td.dev)} test={len(td.test)}")
@@ -234,11 +234,13 @@ def cmd_ablate_tasks(args) -> int:
 
 def cmd_transfer(args) -> int:
     cfg = load_run_config(args.config)
+    train_shots, dev_shots = _parse_shots(args.shots)
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     data = cfg.build_data()
     if args.task not in data:
         raise ConfigError(f"--task names unknown task {args.task!r}")
     model, _ = load_checkpoint(args.checkpoint)
-    train_shots, dev_shots = _parse_shots(args.shots)
     record = transfer_finetune(model, data[args.task], cfg.plan,
                                train_shots=train_shots, dev_shots=dev_shots,
                                epochs=args.epochs)
@@ -324,7 +326,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SpalMtlError as e:
+    except (SpalMtlError, OSError) as e:  # the one place an error becomes `error: …`
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -4,9 +4,9 @@ Every JSON input (run configs, generator specs, checkpoint headers, dataset
 lines) is parsed by `parse_json`, which rejects non-finite numbers, and read
 through a dataclass by `from_json`. A dataset file holds one object per line:
 {"tokens": [...], "label": ...} plus optional "target_span", "spans" and
-"latent" (generator provenance). Bad lines, including ids outside the
-backbone's vocabulary, lines longer than its `max_seq_len` and lines of its
-padding id only, are reported as `path:line`.
+"latent" (generator provenance). Each line's ids, markers included, pass
+`backbone.check_token_ids`, as every batch does before `encode`. Bad lines
+are reported as `path:line`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig
+from .backbone import BackboneConfig, check_token_ids
 from .errors import ConfigError, DataError, SpalMtlError
 from .tasks import TaskExample, TaskSpec, insert_target_markers, validate_example
 
@@ -137,17 +137,7 @@ def load_jsonl_dataset(path, spec: TaskSpec, backbone: BackboneConfig,
             if marker_kind is not None and ex.target_span is not None:
                 ex.token_ids = insert_target_markers(
                     ex.token_ids, ex.target_span, marker_kind)
-            ids = ex.token_ids
-            if ids.size > backbone.max_seq_len:
-                raise DataError(f"{ids.size} tokens exceed the backbone's "
-                                f"max_seq_len {backbone.max_seq_len}")
-            bad = ids[(ids < 0) | (ids >= backbone.vocab_size)]
-            if bad.size:
-                raise DataError(f"token id {bad[0]} outside the backbone's vocabulary "
-                                f"0..{backbone.vocab_size - 1}")
-            if not (ids != backbone.padding_token_id).any():
-                raise DataError(f"tokens must hold a non-padding id (the backbone pads "
-                                f"with {backbone.padding_token_id}), got {ids.tolist()}")
+            check_token_ids(ex.token_ids[None], backbone)
             examples.append(validate_example(spec, ex))
         except (SpalMtlError, OverflowError) as e:  # an id beyond int64
             raise DataError(f"{path}:{lineno}: {e}") from e
@@ -155,8 +145,6 @@ def load_jsonl_dataset(path, spec: TaskSpec, backbone: BackboneConfig,
 
 
 def save_jsonl_dataset(path, examples: list[TaskExample]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         for ex in examples:
             obj = {"tokens": [int(t) for t in ex.token_ids]}

@@ -89,10 +89,6 @@ def emit_metrics(record: RunRecord, outdir,
                  task_sim: SimilarityMatrix | None = None,
                  text_sim: SimilarityMatrix | None = None) -> None:
     outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise SpalMtlError(f"cannot create output directory {outdir}: {e}") from e
     write_run_json(record, outdir)
     if repgen is not None:
         write_repgen_csv(repgen, outdir)

@@ -70,6 +70,15 @@ class GeneratorSpec:
             raise ConfigError("invalid seq_len range")
         if self.seed < 0:
             raise ConfigError(f"generator seed must be non-negative, got {self.seed}")
+        filler_lo = FIRST_CONTENT_ID + self.latent_dim * self.bins
+        for t in self.tasks:  # span tokens are drawn from the top of the filler ids
+            if t.kind == "token_classification":
+                need = filler_lo + _entity_labels(t.num_classes) * ENTITY_TOKEN_RANGE
+                if self.vocab_size < need:
+                    raise ConfigError(
+                        f"vocab_size {self.vocab_size} too small for task {t.id!r}: its "
+                        f"span tokens would start below the first filler id {filler_lo}; "
+                        f"need >= {need}")
 
 
 def _entity_labels(num_classes: int) -> int:

@@ -115,19 +115,21 @@ def test_one_dimensional_ids_rejected(tiny_config):
 
 def test_out_of_range_token_reports_position(tiny_config):
     bb = init_backbone(tiny_config, seed=0)
-    with pytest.raises(DataError, match="position 2"):
+    with pytest.raises(DataError, match=r"token id 999 outside the backbone's vocabulary "
+                                        r"0\.\.127, at position 2 of row 1"):
         encode(np.array([[4, 5, 6], [4, 5, 999]]), bb)
 
 
 def test_all_padding_rejected(tiny_config):
     bb = init_backbone(tiny_config, seed=0)
-    with pytest.raises(DataError, match="empty"):
+    with pytest.raises(DataError, match=r"tokens must hold a non-padding id \(the backbone "
+                                        r"pads with 0\), but row 1 holds none"):
         encode(np.array([[4, 5, 6], [0, 0, 0]]), bb)
 
 
 def test_too_long_sequence_rejected(tiny_config):
     bb = init_backbone(tiny_config, seed=0)
-    with pytest.raises(DataError, match="exceeds"):
+    with pytest.raises(DataError, match="17 tokens exceed the backbone's max_seq_len 16"):
         encode(np.full((1, tiny_config.max_seq_len + 1), 4), bb)
 
 

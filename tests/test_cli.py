@@ -87,6 +87,27 @@ def test_criterion3_config_is_the_findata_shaped_suite():
     assert (cfg.backbone, cfg.spal_hidden, cfg.plan.epochs, cfg.plan.seed) == (TOY, 4, 11, 1)
 
 
+def test_findata_config_is_the_scanned_plan_on_the_findata_shaped_suite():
+    """The learning-rate scan's choice (ROADMAP item 1): the largest base_lr
+    at which no cell collapsed, with a warmup of about 5% of the run."""
+    cfg = load_run_config(CONFIGS / "findata_toy.json")
+    assert cfg.data.generator == findata_shaped_suite(seed=0)
+    assert (cfg.backbone, cfg.spal_hidden, cfg.probe) == (TOY, 16, False)
+    assert cfg.plan == TrainPlan(epochs=11, seed=1, base_lr=3e-3, warmup_steps=50)
+
+
+@pytest.mark.parametrize("name,plan", [
+    ("capacity_sweep_toy.json",
+     TrainPlan(epochs=20, eval_interval=20, seed=1, base_lr=3e-3, warmup_steps=15)),
+    ("diagnostics_toy.json",
+     TrainPlan(epochs=15, eval_interval=10, seed=1, base_lr=1e-2, warmup_steps=12)),
+], ids=["capacity_sweep", "diagnostics"])
+def test_short_toy_config_plan_is_the_scanned_plan(name, plan):
+    """ROADMAP item 1: the largest scanned base_lr at which no cell diverged,
+    a warmup of about 5% and a run long enough to train."""
+    assert load_run_config(CONFIGS / name).plan == plan
+
+
 def test_positive_transfer_config_is_criterion_10s_setup():
     cfg = load_run_config(CONFIGS / "positive_transfer_toy.json")
     assert cfg.backbone == BackboneConfig(num_layers=2, model_dim=16, num_heads=2, ff_dim=32,
@@ -364,7 +385,7 @@ def test_negative_seed_flag_is_cli_error(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--hidden", "x"), ("--seeds", "5-1"),
     ("--seeds", "1,1"), ("--hidden", "4,4"), ("--hidden", "2-6,4"),
-    ("--hidden", ""), ("--seeds", "")])
+    ("--hidden", ""), ("--seeds", ""), ("--seeds", "1-")])
 def test_bad_sweep_list_is_cli_error(tmp_path, capsys, flag, value):
     """ablate-tasks reads --seeds as sweep-capacity does."""
     cfg = _write_config(tmp_path)
@@ -638,3 +659,38 @@ def test_analyze_single_task_writes_no_g_rows(tmp_path):
                  str(out / "ckpt_final.spal"), "--out", str(adir)]) == 0
     assert (adir / "repgen.csv").read_text().splitlines() == ["step,layer,G"]
     assert read_matrix_csv(adir / "gradsim_step0.csv").labels == ["alpha"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--config", "{cfg}", "--checkpoint", "{absent}"],
+    ["analyze", "--config", "{cfg}", "--checkpoint", "{absent}", "--out", "{tmp}/analysis"],
+    ["transfer", "--config", "{cfg}", "--checkpoint", "{absent}", "--task", "alpha"],
+    ["train", "--config", "{cfg}", "--out", "{file}/run"],
+    ["analyze", "--config", "{cfg}", "--checkpoint", "{ckpt}", "--out", "{file}/analysis"],
+    ["gen-data", "--config", "{gen}", "--out", "{file}/data"],
+], ids=["eval_missing_checkpoint", "analyze_missing_checkpoint",
+        "transfer_missing_checkpoint", "train_out_below_file", "analyze_out_below_file",
+        "gen_data_out_below_file"])
+def test_bad_file_path_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    """A missing checkpoint, or an --out below a regular file, ends the
+    command with one `error: …` line naming the path, before any training."""
+    paths = {"cfg": _write_config(tmp_path), "gen": tmp_path / "gen.json",
+             "file": tmp_path / "file", "absent": tmp_path / "absent.spal",
+             "ckpt": tmp_path / "run" / "ckpt_final.spal", "tmp": tmp_path}
+    paths["gen"].write_text(json.dumps(GENERATOR))
+    paths["file"].write_text("")
+    if "{ckpt}" in argv:
+        assert main(["train", "--config", str(paths["cfg"]), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    trained = []
+    monkeypatch.setattr("spalmtl.cli.run_training", lambda *a, **k: trained.append(a))
+    missing_checkpoint = "{absent}" in argv
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if missing_checkpoint:
+        assert err.startswith(f"error: cannot read checkpoint {paths['absent']}: ")
+    else:
+        assert f"'{argv[argv.index('--out') + 1]}" in err  # the --out path, or one below it
+    assert trained == []

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spalmtl.backbone import encode, init_backbone
 from spalmtl.dataio import load_jsonl_dataset, save_jsonl_dataset
 from spalmtl.errors import DataError
 from spalmtl.tasks import COMPANY_MARKER_ID, TaskExample, TaskSpec
@@ -152,6 +153,23 @@ def test_line_of_the_backbones_padding_id_only_reports_line(tmp_path):
         load_jsonl_dataset(path, CLS, PADS_WITH_7)
 
 
+@pytest.mark.parametrize("tokens,backbone", [
+    ([4, 128], TINY), ([-1, 4], TINY), ([0, 0], TINY), ([], TINY), ([4] * 17, TINY),
+    ([7, 7], PADS_WITH_7),
+], ids=["above_vocab", "negative", "all_padding", "empty", "above_max_seq_len",
+        "all_padding_of_another_id"])
+def test_dataset_line_and_encode_refuse_ids_with_one_message(tmp_path, tokens, backbone):
+    """A line is refused exactly as `encode` refuses the same ids as a
+    batch of one row: both run `backbone.check_token_ids`."""
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps({"tokens": tokens, "label": 0}) + "\n")
+    with pytest.raises(DataError) as line_error:
+        load_jsonl_dataset(path, CLS, backbone)
+    with pytest.raises(DataError) as batch_error:
+        encode(np.array([tokens], dtype=np.int64), init_backbone(backbone, seed=0))
+    assert str(line_error.value) == f"{path}:1: {batch_error.value}"
+
+
 def test_id_0_is_content_for_a_backbone_that_pads_with_another(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"tokens": [0, 0], "label": 1}\n')
@@ -167,7 +185,7 @@ def test_integer_regression_label_accepted(tmp_path):
 
 
 def test_save_load_round_trip(tmp_path):
-    path = tmp_path / "out" / "d.jsonl"
+    path = tmp_path / "d.jsonl"
     exs = [
         TaskExample(token_ids=np.array([4, 5]), label=1),
         TaskExample(token_ids=np.array([6, 7, 8]), label=2,

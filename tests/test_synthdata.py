@@ -41,6 +41,24 @@ def test_vocab_too_small_rejected():
                       vocab_size=10)
 
 
+@pytest.mark.parametrize("num_classes,vocab_size", [(23, 44), (9, 44), (9, 51)])
+def test_span_tokens_below_the_filler_ids_rejected(num_classes, vocab_size):
+    """Filler ids start at 4 + latent_dim * bins = 36; a tag task's span
+    tokens take 4 ids per entity label from the top of the vocabulary."""
+    tasks = (SynthTaskSpec("a", "seq_classification"),
+             SynthTaskSpec("tags", "token_classification", num_classes=num_classes))
+    with pytest.raises(ConfigError, match="vocab_size .* too small for task 'tags'"):
+        GeneratorSpec(tasks=tasks, vocab_size=vocab_size)
+
+
+def test_span_tokens_at_the_bound_stay_in_the_filler_ids():
+    task = SynthTaskSpec("tags", "token_classification", (200, 1, 1), num_classes=9)
+    spec = GeneratorSpec(tasks=(task,), vocab_size=36 + 4 * 4)
+    span_ids = [ex.token_ids[s:e + 1] for ex in gen_synthetic_suite(spec)["tags"].train
+                for s, e, _ in ex.spans]
+    assert min(ids.min() for ids in span_ids) == 36
+
+
 def test_tag_names_odd_class_counts_only():
     assert tag_names_for(5) == ("O", "B-E0", "I-E0", "B-E1", "I-E1")
     with pytest.raises(ConfigError):
