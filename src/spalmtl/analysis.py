@@ -8,10 +8,13 @@ zeroed before returning).
 Diagnostics share training's batched forward (``MtlModel.encode_examples``).
 ``task_mean_representation`` encodes each example once, in no-graph padded
 batches of ``FORWARD_CHUNK``, and pools every requested layer; rep-gen and
-the text embedding use it. ``_chunk_grads`` backpropagates a task's loss in
-chunks of at most ``spec.batch_size`` examples, so no graph outgrows a
-training step on that task: the gradient snapshot sums the chunks' mean-loss
-shares, and the task embedding takes each chunk as one per-row backward.
+the text embedding use it, and over a frozen backbone a repeated chunk reads
+layer 0 back from the backbone's store (see ``backbone``). ``_chunk_grads``
+records a graph, so it never uses that store. It backpropagates a task's
+loss in chunks of at most ``spec.batch_size`` examples, so no graph
+outgrows a training step on that task: the gradient snapshot sums the
+chunks' mean-loss shares, and the task embedding takes each chunk as one
+per-row backward.
 """
 
 from __future__ import annotations

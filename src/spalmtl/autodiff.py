@@ -87,6 +87,11 @@ def no_graph():
         _graph = prev
 
 
+def recording() -> bool:
+    """False inside no_graph()."""
+    return _graph
+
+
 class Tensor:
     """A node in the autodiff graph."""
 

@@ -2,7 +2,12 @@
 
 Every layer's output is exposed so downstream diagnostics can inspect
 intermediate representations. A global freeze switch flips the trainable
-flag on every backbone parameter without touching SPALs or heads.
+flag on every backbone parameter without touching SPALs or heads. Over a
+frozen backbone, a no-graph ``encode`` keeps layer 0's frozen branch,
+read-only, in ``Backbone.prefix_store`` under the ids' shape and bytes, up
+to ``PREFIX_STORE_BYTES`` (4 MiB), and reads it back for the same ids.
+``set_trainable``, ``MtlModel.restore`` and an encode that finds a trainable
+backbone parameter drop the store.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ if TYPE_CHECKING:
     from .model import ProbeWeights
 
 MASK_NEG = -1e30
+PREFIX_STORE_BYTES = 1 << 22  # layer-0 outputs a frozen backbone keeps for no-graph forwards
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,10 @@ class Backbone:
     def __init__(self, config: BackboneConfig, params: dict[str, Param]):
         self.config = config
         self.params = params
+        self.prefix_store: dict[tuple, np.ndarray] = {}  # see the module docstring
 
     def set_trainable(self, trainable: bool) -> None:
+        self.prefix_store.clear()
         for p in self.params.values():
             p.trainable = trainable
 
@@ -191,9 +199,22 @@ def encode(token_ids, backbone: Backbone,
                ad.embedding(p["backbone.pos_emb"], positions))
     x = ad.layer_norm(x, p["backbone.emb_ln.gain"], p["backbone.emb_ln.bias"])
 
+    store, key = backbone.prefix_store, None
+    if any(q.trainable for q in p.values()):
+        store.clear()
+    elif not ad.recording():
+        key = (ids.shape, ids.tobytes())
+    if key in store:
+        layer0 = Tensor(store[key])
+    else:
+        layer0 = _backbone_layer(x, mask, backbone, 0)
+        if key is not None and layer0.data.nbytes + sum(
+                a.nbytes for a in store.values()) <= PREFIX_STORE_BYTES:
+            layer0.data.flags.writeable = False
+            store[key] = layer0.data
     outputs: list[Tensor] = []
     for i in range(cfg.num_layers):
-        frozen_out = _backbone_layer(x, mask, backbone, i)
+        frozen_out = layer0 if i == 0 else _backbone_layer(x, mask, backbone, i)
         if spals is None:
             x = frozen_out
         elif probe is None:

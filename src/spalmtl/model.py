@@ -115,6 +115,7 @@ class MtlModel:
         return {k: p.data.copy() for k, p in self.all_params().items() if p.trainable}
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
+        self.backbone.prefix_store.clear()
         params = self.all_params()
         for k, arr in snap.items():
             params[k].data = arr.copy()

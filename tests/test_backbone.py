@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from spalmtl import autodiff as ad
+from spalmtl import analysis, autodiff as ad
+from spalmtl import backbone as bbmod
 from spalmtl.backbone import (BERT_BASE, TOY, BackboneConfig, backbone_param_count,
                               backbone_shapes, encode, init_backbone)
+from spalmtl.engine import Batch, evaluate_task, train_step
 from spalmtl.errors import ConfigError, ContractError, DataError
 from spalmtl.model import MtlModel
+from spalmtl.optim import OptimizerState
 from spalmtl.tasks import TaskExample, TaskSpec, head_forward, task_loss
 
 from conftest import TINY
@@ -252,3 +255,129 @@ def test_pooled_mean_rejects_layer_outside_stack(tiny_config, layer):
     enc = encode(np.array([[4, 5]]), init_backbone(tiny_config, seed=5))
     with pytest.raises(ContractError, match="outside 1..2"):
         enc.pooled_mean(layer)
+
+
+# ---------------------------------------------------------------------------
+# the frozen-prefix store: layer 0's frozen branch, kept per id array
+# ---------------------------------------------------------------------------
+
+def _store_model(seed, spal_hidden=4, probe=True):
+    """A model whose SPAL and probe params are drawn away from their init."""
+    model = MtlModel.build(TINY, list(_KINDS.values()), spal_hidden=spal_hidden,
+                           seed=seed, probe=probe)
+    rng = np.random.default_rng(seed + 100)
+    for name, p in sorted(model.all_params().items()):
+        if name.startswith(("spal.", "probe.")):
+            p.data = rng.normal(0.0, 0.3, p.data.shape)
+    return model
+
+
+def _cls_examples():
+    return [TaskExample(token_ids=ex.token_ids, label=ex.label["cls"])
+            for ex in _mixed_length_examples(np.random.default_rng(17))]
+
+
+def _count_frozen_layers(monkeypatch):
+    calls = []
+    real = bbmod._backbone_layer
+    monkeypatch.setattr(bbmod, "_backbone_layer",
+                        lambda x, mask, bb, i: calls.append(i) or real(x, mask, bb, i))
+    return calls
+
+
+@pytest.mark.parametrize("spal_hidden,probe", [(None, False), (4, False), (4, True)],
+                         ids=["no-spal", "spal", "probe"])
+def test_stored_layer0_reproduces_a_fresh_model(monkeypatch, spal_hidden, probe):
+    examples = _mixed_length_examples(np.random.default_rng(17))
+    model = _store_model(3, spal_hidden, probe)
+    calls = _count_frozen_layers(monkeypatch)
+    with ad.no_graph():
+        model.encode_examples(examples)
+        assert calls == [0, 1] and len(model.backbone.prefix_store) == 1
+        hit = model.encode_examples(examples)
+        assert calls == [0, 1, 1]  # layer 0 read back, not recomputed
+        fresh = _store_model(3, spal_hidden, probe).encode_examples(examples)
+    assert len(hit.per_layer_outputs) == len(fresh.per_layer_outputs) == TINY.num_layers
+    for got, want in zip(hit.per_layer_outputs, fresh.per_layer_outputs):
+        assert np.array_equal(got.data, want.data)
+
+
+def test_each_backbone_keeps_its_own_layer0():
+    examples = _mixed_length_examples(np.random.default_rng(17))
+    a, b = _store_model(3), _store_model(4)
+    with ad.no_graph():
+        a.encode_examples(examples)
+        got = b.encode_examples(examples)
+    want = b.encode_examples(examples)  # records a graph, so reads no store
+    assert a.backbone.prefix_store is not b.backbone.prefix_store
+    for g, w in zip(got.per_layer_outputs, want.per_layer_outputs):
+        assert np.array_equal(g.data, w.data)
+    assert not np.array_equal(got.final().data, a.encode_examples(examples).final().data)
+
+
+def test_graph_recording_forwards_store_nothing():
+    model = _store_model(3)
+    spec, examples = model.heads["cls"].spec, _cls_examples()
+    train_step(model, Batch("cls", examples), {"cls": spec}, OptimizerState(total_steps=1))
+    list(analysis._chunk_grads(model, spec, examples, 2))
+    list(analysis._chunk_grads(model, spec, examples, 2, per_row=True))
+    assert model.backbone.prefix_store == {}
+    evaluate_task(model, spec, examples)
+    assert len(model.backbone.prefix_store) == 1
+
+
+def _filled(model, ids=((4, 5, 6), (7, 8, 0))):
+    with ad.no_graph():
+        model.encode(np.array(ids))
+    assert len(model.backbone.prefix_store) == 1
+    return model
+
+
+def test_store_is_dropped_when_the_backbone_may_change():
+    model = _filled(_store_model(3))
+    model.backbone.set_trainable(False)
+    assert model.backbone.prefix_store == {}
+    _filled(model).restore(model.snapshot())
+    assert model.backbone.prefix_store == {}
+    _filled(model).backbone.params["backbone.layer1.ff.b2"].trainable = True
+    with ad.no_graph():
+        model.encode(np.array([[4, 5, 6], [7, 8, 0]]))
+    assert model.backbone.prefix_store == {}
+
+
+def test_store_keys_on_the_id_array_shape_too():
+    model = _filled(_store_model(3))
+    ids = np.array([[4, 5, 6, 7, 8, 0]])  # the stored [2, 3] array's bytes
+    with ad.no_graph():
+        got = model.encode(ids)
+    assert len(model.backbone.prefix_store) == 2
+    for g, w in zip(got.per_layer_outputs, model.encode(ids).per_layer_outputs):
+        assert np.array_equal(g.data, w.data)
+
+
+def test_stored_arrays_are_read_only():
+    model = _filled(_store_model(3, spal_hidden=None, probe=False))
+    [stored] = model.backbone.prefix_store.values()
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0, 0, 0] = 1.0
+    with ad.no_graph():
+        enc = model.encode(np.array([[4, 5, 6], [7, 8, 0]]))
+    assert enc.per_layer_outputs[0].data is stored  # a hit hands out the stored array
+
+
+def test_store_stops_at_its_budget(monkeypatch):
+    examples = _mixed_length_examples(np.random.default_rng(17))
+    with ad.no_graph():
+        want = _store_model(3).encode_examples(examples)
+        monkeypatch.setattr(bbmod, "PREFIX_STORE_BYTES", 8)
+        model = _store_model(3)
+        model.encode_examples(examples)
+        got = model.encode_examples(examples)
+        assert model.backbone.prefix_store == {}
+        one = 2 * 3 * TINY.model_dim * 8  # one [2, 3, d] float64 output
+        monkeypatch.setattr(bbmod, "PREFIX_STORE_BYTES", one)
+        _filled(model)
+        model.encode(np.array([[4, 5, 6], [7, 9, 0]]))
+    assert len(model.backbone.prefix_store) == 1
+    for g, w in zip(got.per_layer_outputs, want.per_layer_outputs):
+        assert np.array_equal(g.data, w.data)
