@@ -13,10 +13,9 @@ its data is a constant. ``Param`` grads accumulate across graphs until the
 caller zeroes them. The graph is rebuilt on every forward pass, and a
 flipped ``trainable`` flag takes effect on the next one.
 
-``backward(loss, rows=B)`` is for a loss that sums B independent batch
-rows: each Param's grad, and a 0-d value's on the Param side (the probe's
-scalars), gains a leading [B] axis that holds each row's own gradient
-(Goodfellow, arXiv 1510.01799). A Param given any other share raises.
+``backward(loss, rows=B)`` is for a loss that sums B independent batch rows:
+each Param's grad gains a leading [B] axis that holds each row's own
+gradient (Goodfellow, arXiv 1510.01799); any other share to a Param raises.
 
 Only values that lead back to a trainable ``Param`` are recorded:
 ``Tensor.__init__`` keeps a pair only when its input requires a gradient
@@ -26,12 +25,12 @@ input), so a frozen weight's gradient is never formed. Under
 the diagnostics run there.
 
 Values carry a leading batch axis, and ``pick`` and ``masked_mean_rows``
-pool each row. Three ops are fused, one node each: ``linear`` applies a
+pool each row. Four ops are fused, one node each: ``linear`` applies a
 shared weight and bias to every row of a [..., k] input, ``attention`` is a
-whole multi-head attention over [B, T, d] queries, keys and values, and the
-loss op ``cross_entropy`` is a log-softmax that stays finite however far
-apart the logits are. A toy train step (frozen backbone, SPAL hidden 4)
-records 47 to 49 nodes, 14 of them Params.
+whole multi-head attention over [B, T, d] queries, keys and values,
+``blend`` weighs two branches by sigmoid(a - b), and ``cross_entropy`` is a
+log-softmax loss, finite for any logit gap. A toy train step (frozen
+backbone, SPAL hidden 4) records 47 to 49 nodes, 14 of them Params.
 """
 
 from __future__ import annotations
@@ -52,16 +51,13 @@ __all__ = [
     "no_graph",
     "linear",
     "attention",
+    "blend",
     "add",
-    "sub",
     "scale",
     "add_const",
-    "scale_by_scalar",
-    "one_minus",
     "reshape",
     "layer_norm",
     "gelu",
-    "sigmoid",
     "square",
     "cross_entropy",
     "embedding",
@@ -117,8 +113,8 @@ class Tensor:
             raise ContractError(f"{self.name}: no [{_rows}, ...] gradient, got {np.shape(g)}")
         if self.grad is not None:
             self.grad += g
-        elif per_row or (_rows is not None and not self.data.ndim):
-            self.grad = np.array(g, dtype=np.float64)  # [B, ...], or a 0-d loss-side share
+        elif per_row:
+            self.grad = np.array(g, dtype=np.float64)  # [B, ...]
         else:  # empty_like keeps data's layout for BLAS
             self.grad = np.empty_like(self.data)
             self.grad[...] = g
@@ -265,18 +261,34 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
         (v, lambda g: merge(np.matmul(np.swapaxes(p, -1, -2), ctx_grad(g))))))
 
 
+def blend(frozen: Tensor, branch: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """frozen * w + branch * (1 - w), w = sigmoid(a - b) for 0-d a and b. a's
+    gradient (sum g * frozen - sum g * branch) * w * (1 - w) is one value per
+    row in a per-row backward, and b's is its negation."""
+    shapes = [t.data.shape for t in (frozen, branch, a, b)]
+    if shapes[0] != shapes[1] or shapes[2:] != [(), ()]:
+        raise ShapeError(f"blend shapes disagree: {shapes}")
+    s = 1.0 / (1.0 + np.exp(-(a.data - b.data)))
+    w, v = float(s), float(1.0 - s)
+    shared: dict[str, np.ndarray] = {}
+
+    def weight_grad(g):
+        if "a" not in shared:
+            gf, gb = ((g * x.data).sum() if _rows is None else
+                      (g * x.data).reshape(_rows, -1).sum(axis=1) for x in (frozen, branch))
+            shared["a"] = (gf - gb) * s * (1.0 - s)
+        return shared["a"]
+
+    return Tensor(frozen.data * w + branch.data * v, (
+        (frozen, lambda g: g * w), (branch, lambda g: g * v),
+        (a, weight_grad), (b, lambda g: np.negative(weight_grad(g)))))
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shapes disagree: {a.data.shape} vs {b.data.shape}")
     return Tensor(a.data + b.data, ((a, _same), (b, _same)))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference of two same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub shapes disagree: {a.data.shape} vs {b.data.shape}")
-    return Tensor(a.data - b.data, ((a, _same), (b, np.negative)))
 
 
 def scale(x: Tensor, s: float) -> Tensor:
@@ -287,21 +299,6 @@ def add_const(x: Tensor, c) -> Tensor:
     """Add a non-differentiable float or broadcastable array, e.g. an
     attention mask."""
     return Tensor(x.data + c, ((x, _same),))
-
-
-def scale_by_scalar(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply tensor x by a scalar tensor s; both sides get gradients."""
-    if s.data.size != 1:
-        raise ShapeError(f"scale_by_scalar expects a scalar, got shape {s.data.shape}")
-    sval = float(s.data.reshape(()))
-    return Tensor(x.data * sval, (
-        (x, lambda g: g * sval),
-        (s, lambda g: np.array((g * x.data).sum()).reshape(s.data.shape) if _rows is None
-         else (g * x.data).reshape(_rows, -1).sum(axis=1).reshape((_rows,) + s.data.shape))))
-
-
-def one_minus(x: Tensor) -> Tensor:
-    return Tensor(1.0 - x.data, ((x, np.negative),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -346,11 +343,6 @@ def gelu(x: Tensor) -> Tensor:
         return g * (phi + x.data * pdf)
 
     return Tensor(x.data * phi, ((x, vjp),))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    return Tensor(s, ((x, lambda g: g * s * (1.0 - s)),))
 
 
 def square(x: Tensor) -> Tensor:

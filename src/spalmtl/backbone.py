@@ -220,8 +220,7 @@ def encode(token_ids, backbone: Backbone,
         elif probe is None:
             x = ad.add(frozen_out, spals.forward(i, x, mask))
         else:
-            w = probe.weight(i)
-            x = ad.add(ad.scale_by_scalar(frozen_out, w),
-                       ad.scale_by_scalar(spals.forward(i, x, mask), ad.one_minus(w)))
+            x = ad.blend(frozen_out, spals.forward(i, x, mask),
+                         *(probe.params[f"probe.layer{i}.{n}"] for n in "ab"))
         outputs.append(x)
     return Encoding(outputs, mask)

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Param, Tensor
+from .autodiff import Param
 from .backbone import Backbone, BackboneConfig, Encoding, encode, init_backbone
 from .errors import ConfigError
 from .spal import SpalConfig, SpalStack, attach_spals
@@ -28,14 +27,10 @@ class ProbeWeights:
                 name = f"probe.layer{i}.{nm}"
                 self.params[name] = Param(np.zeros(()), name=name)
 
-    def weight(self, layer: int) -> Tensor:
-        a = self.params[f"probe.layer{layer}.a"]
-        b = self.params[f"probe.layer{layer}.b"]
-        return ad.sigmoid(ad.sub(a, b))
-
     def values(self) -> list[float]:
-        with ad.no_graph():
-            return [float(self.weight(i).data) for i in range(self.num_layers)]
+        """Each layer's w, with the float operations of `autodiff.blend`."""
+        p = [self.params[f"probe.layer{i}.{n}"].data for i in range(self.num_layers) for n in "ab"]
+        return [float(1.0 / (1.0 + np.exp(-(a - b)))) for a, b in zip(p[::2], p[1::2])]
 
 
 class MtlModel:

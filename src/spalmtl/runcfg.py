@@ -30,6 +30,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.snapshot_cadence <= 0:
             raise ConfigError("analysis.snapshot_cadence must be positive")
+        if self.layers is not None and not self.layers:
+            raise ConfigError("analysis.layers must name at least one layer, got []")
 
 
 @dataclass(frozen=True)

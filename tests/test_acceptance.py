@@ -302,7 +302,7 @@ def test_criterion_07_probe_contracts():
     for p in model.probe.params.values():
         p.data = rng.normal(size=())
     for i in range(bb.num_layers):
-        w = float(model.probe.weight(i).data)
+        w = model.probe.values()[i]
         assert w + (1.0 - w) == 1.0
 
     for p in model.probe.params.values():

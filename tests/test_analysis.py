@@ -321,7 +321,7 @@ def test_probe_weight_pairs_sum_to_one():
     for p in model.probe.params.values():
         p.data = rng.normal(size=())
     for i in range(TINY.num_layers):
-        w = float(model.probe.weight(i).data)
+        w = model.probe.values()[i]
         assert w + (1.0 - w) == 1.0
         assert 0.0 < w < 1.0
 
@@ -330,7 +330,7 @@ def test_probe_a1_b0_matches_softmax_oracle():
     data = two_task_suite()
     model = _build(data, probe=True)
     model.probe.params["probe.layer0.a"].data = np.array(1.0)
-    w = float(model.probe.weight(0).data)
+    w = model.probe.values()[0]
     e = math.exp(1.0)
     assert w == pytest.approx(e / (e + 1.0), abs=1e-12)
     assert w == pytest.approx(0.7311, abs=5e-5)

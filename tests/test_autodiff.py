@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from spalmtl import autodiff as ad
 from spalmtl.backbone import MASK_NEG, TOY
@@ -47,6 +48,34 @@ def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))),
                   ad.Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (3, 2), (), ()), ((2, 3), (2, 3), (1,), ())],
+                         ids=["branches", "scalar"])
+def test_blend_shape_mismatch(shapes):
+    with pytest.raises(ShapeError, match="blend shapes disagree"):
+        ad.blend(*(ad.Tensor(np.zeros(shape)) for shape in shapes))
+
+
+@pytest.mark.parametrize("rows", [None, 2], ids=["whole", "per_row"])
+def test_blend_repeats_the_composed_float_operations(rows):
+    """blend's value and a's and b's gradients hold the bits of the ops it
+    fuses: sigmoid(a - b) = s, frozen * s + branch * (1 - s), and a gradient
+    on s that sums frozen's share and branch's negated share before the
+    sigmoid's g * s * (1 - s); per row in a per-row backward."""
+    rng = np.random.default_rng(7)
+    frozen, branch = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+    a, b = ad.Param(np.array(0.3), name="a"), ad.Param(np.array(-1.1), name="b")
+    out = ad.blend(ad.Tensor(frozen), ad.Tensor(branch), a, b)
+    ad.backward(tsum(out), rows=rows)  # the blend's gradient is all ones
+    s = 1.0 / (1.0 + np.exp(-(a.data - b.data)))
+    assert out.data.tobytes() == (frozen * float(s) + branch * float(1.0 - s)).tobytes()
+    gf, gb = (x.sum() if rows is None else x.reshape(rows, -1).sum(axis=1)
+              for x in (frozen, branch))
+    want = (gf + np.negative(gb)) * s * (1.0 - s)
+    assert a.grad.shape == np.shape(want) == (() if rows is None else (rows,))
+    assert a.grad.tobytes() == want.tobytes()
+    assert b.grad.tobytes() == np.negative(want).tobytes()
 
 
 def test_softmax_two_equal_logits():
@@ -199,17 +228,15 @@ OPS = {
     "softmax": (113, ("xb", "kb", "vb"), lambda t: ad.attention(
         t["xb"], t["kb"], t["vb"], np.array([[0.5, -1.0, 2.0], [0.0, 1.5, -0.5]]), 2)),
     "add": (103, ("x", "y"), lambda t: ad.add(t["x"], t["y"])),
-    "sub": (106, ("x", "y"), lambda t: ad.sub(t["x"], t["y"])),
+    "blend": (106, ("x", "y", "s", "r"),
+              lambda t: ad.blend(t["x"], t["y"], t["s"], t["r"])),
     "scale": (107, ("x",), lambda t: ad.scale(t["x"], -1.7)),
     "add_const": (108, ("x",),
                   lambda t: ad.add_const(ad.add_const(t["x"], 0.3), np.arange(4.0))),
-    "scale_by_scalar": (109, ("x", "s"), lambda t: ad.scale_by_scalar(t["x"], t["s"])),
-    "one_minus": (110, ("x",), lambda t: ad.one_minus(t["x"])),
     "reshape": (111, ("x",), lambda t: ad.reshape(t["x"], (2, 6))),
     "layer_norm": (114, ("x", "gain", "bias"),
                    lambda t: ad.layer_norm(t["x"], t["gain"], t["bias"])),
     "gelu": (115, ("x",), lambda t: ad.gelu(t["x"])),
-    "sigmoid": (116, ("x",), lambda t: ad.sigmoid(t["x"])),
     "square": (118, ("x",), lambda t: ad.square(t["x"])),
     "cross_entropy": (127, ("xb",),
                       lambda t: ad.cross_entropy(t["xb"], np.array([[0, 3, 1], [2, 2, 0]]))),
@@ -236,6 +263,7 @@ def _op_inputs(op, frozen=()):
         "gain": rng.normal(size=4) + 1.0,
         "bias": rng.normal(size=4),
         "s": np.array(0.7),
+        "r": np.array(-0.4),
     }
     return {k: ad.Param(v, name=k, trainable=k not in frozen) for k, v in arrays.items()}
 
@@ -405,7 +433,7 @@ def test_backward_consumes_every_non_param_node():
 
 def test_consumed_graph_refuses_a_second_backward_and_new_ops():
     x = _param(0, (3,))
-    h = ad.sigmoid(x)
+    h = ad.gelu(x)
     loss = ad.tmean(h)
     ad.backward(loss)
     with pytest.raises(ContractError, match="consumed"):
@@ -414,8 +442,10 @@ def test_consumed_graph_refuses_a_second_backward_and_new_ops():
         ad.scale(h, 2.0)
     with ad.no_graph():
         assert np.array_equal(ad.scale(h, 2.0).data, h.data * 2.0)
-    ad.backward(ad.tmean(ad.sigmoid(x)))  # a new graph over the same Param
-    assert np.allclose(x.grad, 2 * h.data * (1 - h.data) / 3)
+    ad.backward(ad.tmean(ad.gelu(x)))  # a new graph over the same Param
+    cdf = 0.5 * (1 + erf(x.data / math.sqrt(2)))
+    pdf = np.exp(-x.data ** 2 / 2) / math.sqrt(2 * math.pi)
+    assert np.allclose(x.grad, 2 * (cdf + x.data * pdf) / 3)  # gelu' = cdf + x * pdf
 
 
 def _aliased_same_input(x):
@@ -423,7 +453,7 @@ def _aliased_same_input(x):
 
 
 def _aliased_shared_inputs(x):
-    a, b = ad.scale(x, 1.5), ad.sigmoid(x)
+    a, b = ad.scale(x, 1.5), ad.gelu(x)
     s, t = ad.add(a, b), ad.add(ad.square(a), ad.gelu(b))
     return ad.tmean(ad.square(ad.add(s, t)))
 
@@ -436,7 +466,7 @@ def _aliased_views(x):
 
 
 def _broadcast_mean(x):
-    return ad.tmean(ad.sigmoid(ad.reshape(x, (12,))))
+    return ad.tmean(ad.gelu(ad.reshape(x, (12,))))
 
 
 @pytest.mark.parametrize("build", [_aliased_same_input, _aliased_shared_inputs,

@@ -295,6 +295,7 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
 @pytest.mark.parametrize("overrides,message", [
     ({"analysis": {"rep_gen": True, "layers": [0]}}, "analysis.layers"),
     ({"analysis": {"rep_gen": True, "layers": [9]}}, "analysis.layers"),
+    ({"analysis": {"rep_gen": True, "layers": []}}, "analysis.layers must name at least one"),
     ({"analysis": {"rep_gen": True, "snapshot_cadence": 0}}, "analysis.snapshot_cadence"),
     ({"plan": {"epochs": "1", "eval_interval": 5, "seed": 1}}, "plan.epochs"),
     ({"plan": {"epochs": 1, "seed": -1}}, "seed must be non-negative"),
@@ -342,7 +343,7 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
     (_jsonl(dict(JSONL_TASK, marker="compnay")),
      "data.jsonl task 'j' has unknown marker 'compnay', not one of ['company', 'number']"),
     ({"freeze_backbone": False}, "unknown keys ['freeze_backbone'] in run config"),
-], ids=["layer0", "layer9", "cadence0", "epochs_str", "seed_negative",
+], ids=["layer0", "layer9", "layers_empty", "cadence0", "epochs_str", "seed_negative",
         "warmup_negative", "lr_negative", "decay_negative", "sizes_short",
         "sizes_float", "relatedness_str", "batch_size_str", "num_classes_float",
         "seq_len_short", "vocab_size_str", "latent_dim_float", "bins_str",

@@ -202,16 +202,21 @@ def test_train_step_graph_size_is_pinned():
     and gelu, and the SPAL sum. Layer 0's backbone branch reads only frozen
     values, so that layer records its SPAL and the sum (8). A sequence
     classifier's loss adds pick, linear, cross_entropy, tmean and scale:
-    14 + 20 + 8 + 5 = 47."""
+    14 + 20 + 8 + 5 = 47. With the probe on, each layer's sum is one blend
+    node instead, and the two layers' (a, b) scalars add 4 Params: 47 + 4 =
+    51."""
     data = gen_synthetic_suite(findata_shaped_suite(seed=0))
-    model = MtlModel.build(TOY, [td.spec for td in data.values()], spal_hidden=4, seed=1)
-    counts = {}
-    for tid in ("tsa", "sc", "fsrl"):
-        spec = data[tid].spec
-        loss = batch_loss(model, spec, data[tid].train[:spec.batch_size])
-        counts[spec.kind] = len(graph_nodes(loss))
-    assert counts == {"seq_regression": 49, "seq_classification": 47,
-                      "token_classification": 48}
+    want = {False: {"seq_regression": 49, "seq_classification": 47, "token_classification": 48},
+            True: {"seq_regression": 53, "seq_classification": 51, "token_classification": 52}}
+    for probe in (False, True):
+        model = MtlModel.build(TOY, [td.spec for td in data.values()], spal_hidden=4,
+                               seed=1, probe=probe)
+        counts = {}
+        for tid in ("tsa", "sc", "fsrl"):
+            spec = data[tid].spec
+            loss = batch_loss(model, spec, data[tid].train[:spec.batch_size])
+            counts[spec.kind] = len(graph_nodes(loss))
+        assert counts == want[probe], probe
 
 
 def test_diverging_run_stops_at_first_non_finite_loss():
