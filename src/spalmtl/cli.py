@@ -329,6 +329,9 @@ def main(argv=None) -> int:
     except (SpalMtlError, OSError) as e:  # the one place an error becomes `error: …`
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -70,9 +70,22 @@ def adamw_step(params: list[Param], state: OptimizerState) -> None:
         v = state.v.get(key)
         if v is None:
             v = state.v[key] = np.zeros_like(p.data)
+        # in place through two scratch buffers, bit for bit (products commute)
+        # p.data -= lr * ((m / bc1) / (sqrt(v / bc2) + EPS) + wd * p.data)
+        a, b = np.empty_like(p.data), np.empty_like(p.data)
+        np.multiply(p.grad, 1.0 - BETA1, out=a)
         m *= BETA1
-        m += (1.0 - BETA1) * p.grad
+        m += a
+        np.multiply(p.grad, p.grad, out=a)
+        a *= 1.0 - BETA2
         v *= BETA2
-        v += (1.0 - BETA2) * (p.grad * p.grad)
-        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-        p.data -= lr * (update + state.weight_decay * p.data)
+        v += a
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += EPS
+        np.divide(m, bc1, out=a)
+        a /= b
+        np.multiply(p.data, state.weight_decay, out=b)
+        b += a
+        b *= lr
+        p.data -= b

@@ -5,17 +5,17 @@ z_private, both drawn per example. The first latent_dim tokens quantize u
 (so labels are learnable from tokens alone); the rest is filler. Label
 functions depend only on the generator seed, task kind and class count, so
 tasks alike in kind and count share one labeling function at every rho: for
-now rho only rescales u (ROADMAP item 2 is to make it enter the labels).
+now rho only rescales u (ROADMAP item 1 is to make it enter the labels).
 Latents (and planted spans) are stored on each example: labels can always be
 re-derived, the generator ships its own oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError
 from .tasks import (FIRST_CONTENT_ID, KINDS, TaskData, TaskExample, TaskSpec,
@@ -143,7 +143,8 @@ def _gen_example(spec: GeneratorSpec, task: SynthTaskSpec, rng) -> TaskExample:
     u = rho * z_shared + (1.0 - rho) * z_priv
 
     length = int(rng.integers(spec.seq_len[0], spec.seq_len[1] + 1))
-    buckets = np.minimum((ndtr(u) * spec.bins).astype(np.int64), spec.bins - 1)
+    phi = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in u.tolist()])  # Phi(u)
+    buckets = np.minimum((phi * spec.bins).astype(np.int64), spec.bins - 1)
     prefix = FIRST_CONTENT_ID + np.arange(k) * spec.bins + buckets
 
     filler_lo = FIRST_CONTENT_ID + k * spec.bins

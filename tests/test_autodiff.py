@@ -2,6 +2,7 @@
 central finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,35 @@ def test_gelu_exact_erf_values():
     out = ad.gelu(ad.Tensor(x)).data
     oracle = x * 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2)) for v in x]))
     assert np.max(np.abs(out - oracle)) < 1e-15
+
+
+def test_erf_equals_scipy_bit_for_bit_within_unit_interval():
+    rng = np.random.default_rng(11)
+    grid = np.linspace(-1.0, 1.0, 400_001)
+    draws = rng.uniform(-1.0, 1.0, size=(300, 1000))  # 2-D, several chunks
+    for x in (grid, draws, np.nextafter(grid, 0.0)):
+        assert ad._erf(x).shape == x.shape
+        assert ad._erf(x).tobytes() == erf(x).tobytes()
+
+
+def test_erf_beyond_unit_interval_within_one_ulp_of_scipy():
+    # Cephes' tail goes through exp, where numpy's and libm's may differ by an ulp
+    rng = np.random.default_rng(12)
+    wide = np.concatenate([np.linspace(-10.0, 10.0, 400_001), rng.normal(size=200_000)])
+    assert np.abs(ad._erf(wide).view(np.int64) - erf(wide).view(np.int64)).max() <= 1
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, math.inf, -math.inf,
+                                   math.nan, 1e-300, -1e-300, 1e200, -1e200])
+def test_erf_special_values(value):
+    x = np.array([value])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad._erf(x)
+    if math.isnan(value):
+        assert math.isnan(out[0])
+    else:
+        assert out[0].hex() == erf(x)[0].hex()  # sign of zero, and ±1.0 from |x| >= 8
 
 
 def test_layer_norm_normalizes():

@@ -695,3 +695,13 @@ def test_bad_file_path_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
     else:
         assert f"'{argv[argv.index('--out') + 1]}" in err  # the --out path, or one below it
     assert trained == []
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr("spalmtl.cli.cmd_train", exhausted)
+    assert main(["train", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: out of memory: Unable to allocate 8.00 GiB for an array\n"

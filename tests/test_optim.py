@@ -7,7 +7,7 @@ import pytest
 
 from spalmtl.autodiff import Param
 from spalmtl.errors import ContractError
-from spalmtl.optim import OptimizerState, adamw_step, lr_at
+from spalmtl.optim import BETA1, BETA2, EPS, OptimizerState, adamw_step, lr_at
 
 
 def test_schedule_fixed_points():
@@ -93,3 +93,30 @@ def test_moment_buffers_keyed_by_name():
     assert set(state.m) == {"layer.w"}
     assert state.m["layer.w"].shape == (2,)
     assert state.step == 1
+
+
+def test_in_place_update_keeps_the_bits_of_the_plain_formula():
+    """Five steps through warmup into decay, with weight decay, over params of
+    several shapes: every byte of every param and moment equals the formula
+    written with temporaries."""
+    rng = np.random.default_rng(4)
+    shapes = [(), (3,), (4, 5), (2, 3, 4)]
+    params = [Param(rng.normal(size=s), name=f"p{i}") for i, s in enumerate(shapes)]
+    ref = {p.name: [p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape)]
+           for p in params}
+    state = OptimizerState(total_steps=6, base_lr=3e-2, warmup_steps=2, weight_decay=0.05)
+    for t in range(1, 6):
+        lr, bc1, bc2 = lr_at(t, state), 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+        for p in params:
+            p.grad = rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-6, 3)
+            data, m, v = ref[p.name]
+            m[...] = BETA1 * m + (1.0 - BETA1) * p.grad
+            v[...] = BETA2 * v + (1.0 - BETA2) * (p.grad * p.grad)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            data -= lr * (update + state.weight_decay * data)
+        adamw_step(params, state)
+        for p in params:
+            data, m, v = ref[p.name]
+            assert p.data.tobytes() == data.tobytes()
+            assert state.m[p.name].tobytes() == m.tobytes()
+            assert state.v[p.name].tobytes() == v.tobytes()

@@ -3,12 +3,13 @@ re-derivation, suite geometry."""
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from spalmtl.errors import ConfigError
 from spalmtl.synthdata import (GeneratorSpec, SynthTaskSpec, derive_label,
                                findata_shaped_suite, gen_synthetic_suite,
                                tag_names_for)
-from spalmtl.tasks import bio_to_spans
+from spalmtl.tasks import FIRST_CONTENT_ID, bio_to_spans
 
 from conftest import two_task_suite
 
@@ -127,3 +128,19 @@ def test_findata_suite_generates():
     assert set(data) == {"tsa", "sc", "nc", "nad", "fsrl", "cd"}
     for td in data.values():
         assert td.train and td.dev and td.test
+
+
+@pytest.mark.parametrize("bins", [2, 7, 8, 64])
+def test_latent_buckets_match_scipy_ndtr(bins):
+    """The prefix tokens quantize Phi(u): 4,000 examples x 25 latents, 1e5
+    draws, bucket for bucket as scipy.special.ndtr would give them."""
+    k = 25
+    spec = GeneratorSpec(tasks=(SynthTaskSpec("t", "seq_regression", sizes=(4000, 1, 1)),),
+                         vocab_size=FIRST_CONTENT_ID + k * bins + 8, seq_len=(k + 2, k + 2),
+                         latent_dim=k, bins=bins, seed=bins)
+    train = gen_synthetic_suite(spec)["t"].train
+    u = np.stack([ex.latent for ex in train])
+    tokens = np.stack([ex.token_ids[:k] for ex in train])
+    expected = np.minimum((ndtr(u) * bins).astype(np.int64), bins - 1)
+    assert np.array_equal(tokens - FIRST_CONTENT_ID - np.arange(k) * bins, expected)
+    assert len(np.unique(expected)) == bins
