@@ -25,14 +25,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .model import FORWARD_CHUNK, GRAD_ROW_BYTES, MtlModel
+from .model import FORWARD_CHUNK, MtlModel
 from .tasks import TaskData, TaskSpec, head_forward, task_loss
 
-@dataclass
-class RepSummary:
-    task_id: str
-    layer: int
-    vector: np.ndarray
+GRAD_ROW_BYTES = 1 << 25  # per-row gradients held by one task-embedding backward
 
 
 @dataclass
@@ -72,10 +68,10 @@ def _cosine_matrix(labels: list[str], vectors: list[np.ndarray]) -> SimilarityMa
 # representation generalization
 # ---------------------------------------------------------------------------
 
-def task_mean_representation(model: MtlModel, examples: list, task_id: str,
-                             layers: list[int]) -> list[RepSummary]:
+def task_mean_representation(model: MtlModel, examples: list,
+                             layers: list[int]) -> list[np.ndarray]:
     """Mean over the dataset of each layer's mean-pooled (non-padding)
-    representation, one summary per requested layer (1-based, 1..L). Each
+    representation, one vector per requested layer (1-based, 1..L). Each
     example is encoded once, whatever the number of layers."""
     if not examples:
         raise ContractError("task_mean_representation needs a non-empty dataset")
@@ -85,29 +81,26 @@ def task_mean_representation(model: MtlModel, examples: list, task_id: str,
             enc = model.encode_examples(examples[start:start + FORWARD_CHUNK])
             for i, layer in enumerate(layers):
                 acc[i] = acc[i] + enc.pooled_mean(layer).data.sum(axis=0)
-    return [RepSummary(task_id=task_id, layer=layer, vector=a / len(examples))
-            for layer, a in zip(layers, acc)]
+    return [a / len(examples) for a in acc]
 
 
-def representation_generalization(summaries: list[RepSummary]) -> float:
-    """Mean pairwise cosine similarity over all unordered task pairs."""
-    if len(summaries) < 2:
+def representation_generalization(means: dict[str, np.ndarray]) -> float:
+    """Mean pairwise cosine similarity over all unordered pairs of one
+    layer's task means, {task_id: vector}."""
+    if len(means) < 2:
         raise ContractError("representation_generalization needs >= 2 tasks")
-    layers = {s.layer for s in summaries}
-    if len(layers) != 1:
-        raise ContractError("summaries must come from a single layer")
-    sim = _cosine_matrix([s.task_id for s in summaries], [s.vector for s in summaries])
+    sim = _cosine_matrix(list(means), list(means.values()))
     if sim.missing:
-        raise ContractError(f"cosine undefined for zero-norm summary in {sim.missing}")
-    return float(np.mean(sim.matrix[np.triu_indices(len(summaries), 1)]))
+        raise ContractError(f"cosine undefined for zero-norm task mean in {sim.missing}")
+    return float(np.mean(sim.matrix[np.triu_indices(len(means), 1)]))
 
 
 def rep_gen_at_layers(model: MtlModel, data: dict[str, TaskData],
                       layers: list[int]) -> dict[int, float]:
     """G value per requested layer, over each task's training split."""
-    per_task = [task_mean_representation(model, data[tid].train, tid, layers)
-                for tid in sorted(data)]
-    return {layer: representation_generalization([s[i] for s in per_task])
+    per_task = {tid: task_mean_representation(model, data[tid].train, layers)
+                for tid in sorted(data)}
+    return {layer: representation_generalization({tid: v[i] for tid, v in per_task.items()})
             for i, layer in enumerate(layers)}
 
 
@@ -206,7 +199,7 @@ def text_embedding(model: MtlModel, examples: list) -> np.ndarray:
     if not examples:
         raise ContractError("text_embedding needs a non-empty dataset")
     final = model.backbone.config.num_layers
-    return task_mean_representation(model, examples, "", [final])[0].vector
+    return task_mean_representation(model, examples, [final])[0]
 
 
 def embedding_similarity_matrix(vectors: dict[str, np.ndarray]) -> SimilarityMatrix:

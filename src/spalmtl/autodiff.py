@@ -300,8 +300,8 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def add_const(x: Tensor, c) -> Tensor:
-    """Add a non-differentiable float or broadcastable array, e.g. an
-    attention mask."""
+    """Add a non-differentiable float or broadcastable array, e.g. the
+    negated targets of the regression loss."""
     return Tensor(x.data + c, ((x, _same),))
 
 

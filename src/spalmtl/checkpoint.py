@@ -12,7 +12,7 @@ Layout (integers little-endian):
     then raw little-endian float64: each tensor in header order, then each
     named moment's m and v, shaped like its tensor; nothing after.
 
-The header is read through `ModelConfig` and `Layout` like every JSON input.
+The header is written and read through `ModelConfig` and `Layout`.
 The load allocates the backbone from `backbone_shapes` without drawing it,
 then reads each tensor of the table (listed once, at the model's shape) into
 place. Round trips are bit-exact. The version is checked before anything
@@ -112,18 +112,16 @@ def save_checkpoint(model: MtlModel, path,
     params = model.all_params()
     names = sorted(params)
     arrays = [params[name].data for name in names]
-    header = {"config": config, "digest": config_digest(config),
-              "tensors": [[name, list(params[name].data.shape), params[name].trainable]
-                          for name in names],
-              "optimizer": None}
+    opt = None
     if optimizer is not None:
-        moments = sorted(optimizer.m)
-        arrays += [a for name in moments for a in (optimizer.m[name], optimizer.v[name])]
-        header["optimizer"] = {
-            "step": optimizer.step, "base_lr": optimizer.base_lr,
-            "warmup_steps": optimizer.warmup_steps,
-            "total_steps": optimizer.total_steps,
-            "weight_decay": optimizer.weight_decay, "moments": moments}
+        opt = OptimizerHeader(
+            step=optimizer.step, base_lr=optimizer.base_lr, warmup_steps=optimizer.warmup_steps,
+            total_steps=optimizer.total_steps, weight_decay=optimizer.weight_decay,
+            moments=tuple(sorted(optimizer.m)))
+        arrays += [a for name in opt.moments for a in (optimizer.m[name], optimizer.v[name])]
+    layout = Layout(tensors=tuple((name, params[name].data.shape, params[name].trainable)
+                                  for name in names), optimizer=opt)
+    header = {"config": config, "digest": config_digest(config), **asdict(layout)}
     header_bytes = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<II", VERSION, len(header_bytes)))

@@ -95,13 +95,13 @@ def _final_diagnostics(model: MtlModel, data: dict[str, TaskData], embeddings: b
     return out
 
 
-def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
+def execute_run(cfg: RunConfig, seed: int, out: Path | None,
                 data: dict[str, TaskData] | None = None) -> RunRecord:
     """Train one model under the config, collecting any configured
-    diagnostics, and emit all artifacts to out_dir, which is created first."""
+    diagnostics, and emit all artifacts to `out`, which is created first."""
     plan = dataclasses.replace(cfg.plan, seed=seed)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     if data is None:
         data = cfg.build_data()
     model = cfg.build_model(data, seed)
@@ -113,14 +113,14 @@ def execute_run(cfg: RunConfig, seed: int, out_dir: Path | None,
 
     record = run_training(plan, model, data, on_step=on_step)
     final = _final_diagnostics(model, data, analysis.embeddings)
-    if out_dir is not None:
-        emit_metrics(record, out_dir, repgen=repgen if analysis.rep_gen else None,
+    if out is not None:
+        emit_metrics(record, out, repgen=repgen if analysis.rep_gen else None,
                      gradsim=gradsim if analysis.grad_snapshots else None, **final)
-        save_checkpoint(model, out_dir / "ckpt_final.spal",
+        save_checkpoint(model, out / "ckpt_final.spal",
                         optimizer=record.optimizer_state)
         for tid, snap in record.best_snapshots.items():
             model.restore(snap)
-            save_checkpoint(model, out_dir / f"ckpt_{record.best[tid]['checkpoint_id']}.spal")
+            save_checkpoint(model, out / f"ckpt_{record.best[tid]['checkpoint_id']}.spal")
     return record
 
 
@@ -143,9 +143,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     seed = args.seed if args.seed is not None else cfg.plan.seed
-    out = Path(args.out) if args.out else (
-        Path(cfg.out_dir) if cfg.out_dir else None)
-    record = execute_run(cfg, seed, out)
+    record = execute_run(cfg, seed, Path(args.out) if args.out else None)
     for tid in record.task_ids:
         b = record.best[tid]
         print(f"{tid}: best {b['score']:.4f} at step {b['step']}")
@@ -169,7 +167,7 @@ class Cell(NamedTuple):
     tasks: tuple[str, ...]
     spal_hidden: int | None
     seed: int
-    out_dir: Path
+    out: Path
 
 
 def _run_grid(cfg: RunConfig, data: dict[str, TaskData], cells: list[Cell]):
@@ -181,10 +179,10 @@ def _run_grid(cfg: RunConfig, data: dict[str, TaskData], cells: list[Cell]):
             for h in dict.fromkeys(c.spal_hidden for c in cells)}
     for (tasks, h), group in itertools.groupby(cells, key=lambda c: (c.tasks, c.spal_hidden)):
         group = list(group)
-        records = [execute_run(cfgs[h], c.seed, c.out_dir,
+        records = [execute_run(cfgs[h], c.seed, c.out,
                                data={tid: data[tid] for tid in tasks}) for c in group]
         if len(records) >= 2:
-            write_aggregate_json(aggregate_seeds(records), group[0].out_dir.parent)
+            write_aggregate_json(aggregate_seeds(records), group[0].out.parent)
         yield tasks, h, records
 
 
@@ -193,7 +191,7 @@ def cmd_sweep_capacity(args) -> int:
     hiddens = (DEFAULT_SWEEP_HIDDEN if args.hidden is None
                else _parse_int_list(args.hidden, "--hidden"))
     seeds = DEFAULT_SWEEP_SEEDS if args.seeds is None else _parse_int_list(args.seeds, "--seeds")
-    out = Path(args.out) if args.out else Path(cfg.out_dir or "sweep")
+    out = Path(args.out or "sweep")
     data = cfg.build_data()
     cells = [Cell(tuple(data), h, seed, out / f"h{h}" / f"seed{seed}")
              for h in hiddens for seed in seeds]
@@ -217,7 +215,7 @@ def cmd_ablate_tasks(args) -> int:
             raise ConfigError(f"--order names unknown task {tid!r}")
         if tid in order[:i]:
             raise ConfigError(f"--order names task {tid!r} twice")
-    out = Path(args.out) if args.out else Path(cfg.out_dir or "ablation")
+    out = Path(args.out or "ablation")
     cells = []
     for stage in range(min(len(order), len(data) - 1) + 1):
         tasks = tuple(tid for tid in data if tid not in order[:stage])

@@ -83,15 +83,6 @@ class RunRecord:
         }
 
 
-@dataclass
-class SeedAggregate:
-    seeds: list[int]
-    per_task: dict  # task -> {"mean": float, "std": float, "scores": [...]}
-
-    def to_dict(self) -> dict:
-        return {"seeds": self.seeds, "per_task": self.per_task}
-
-
 # ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------
@@ -174,11 +165,7 @@ def evaluate_task(model: MtlModel, spec: TaskSpec, examples: list) -> float:
     with ad.no_graph():
         for i in range(0, len(examples), FORWARD_CHUNK):
             chunk = examples[i:i + FORWARD_CHUNK]
-            logits = head_forward(model.encode_examples(chunk), model.heads[spec.id]).data
-            if spec.kind == "token_classification":
-                preds += [row[:ex.token_ids.size] for row, ex in zip(logits, chunk)]
-            else:
-                preds += list(logits)
+            preds += list(head_forward(model.encode_examples(chunk), model.heads[spec.id]).data)
     return task_metric(spec, preds, [ex.label for ex in examples])
 
 
@@ -206,6 +193,9 @@ def run_training(plan: TrainPlan, model: MtlModel, data: dict[str, TaskData],
     one starts at step 0."""
     if set(model.heads) != set(data):
         raise ContractError("model heads and datasets disagree on task set")
+    if no_dev := sorted(tid for tid, td in data.items() if not td.dev):
+        raise ConfigError(f"no dev examples for task(s) {no_dev}: training "
+                          f"evaluates each task on its dev split")
     specs = {tid: td.spec for tid, td in data.items()}
     model.backbone.set_trainable(not plan.freeze_backbone)
 
@@ -255,8 +245,10 @@ def run_training(plan: TrainPlan, model: MtlModel, data: dict[str, TaskData],
     return record
 
 
-def aggregate_seeds(records: list[RunRecord]) -> SeedAggregate:
-    """Per-task mean and population std of best dev scores across seeds."""
+def aggregate_seeds(records: list[RunRecord]) -> dict:
+    """Per-task mean and population std of best dev scores across seeds, as
+    `aggregate.json` holds them: {"seeds": [...], "per_task": {task:
+    {"mean", "std", "scores"}}}."""
     if len(records) < 2:
         raise ContractError("aggregate_seeds needs at least two records")
     ref = records[0]
@@ -271,7 +263,7 @@ def aggregate_seeds(records: list[RunRecord]) -> SeedAggregate:
             "std": float(np.std(scores)),
             "scores": [float(s) for s in scores],
         }
-    return SeedAggregate(seeds=[r.seed for r in records], per_task=per_task)
+    return {"seeds": [r.seed for r in records], "per_task": per_task}
 
 
 def transfer_finetune(model: MtlModel, task: TaskData, plan: TrainPlan,

@@ -78,8 +78,8 @@ def write_embeddings_csv(task_sim: SimilarityMatrix | None,
                        for j, b in enumerate(sim.labels)))
 
 
-def write_aggregate_json(aggregate, outdir: Path) -> Path:
-    return _write_json(aggregate.to_dict(), outdir / "aggregate.json")
+def write_aggregate_json(aggregate: dict, outdir: Path) -> Path:
+    return _write_json(aggregate, outdir / "aggregate.json")
 
 
 def emit_metrics(record: RunRecord, outdir,

@@ -80,7 +80,6 @@ class RunConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     spal_hidden: int | None = None
     probe: bool = False
-    out_dir: str | None = None
     base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self):
@@ -123,10 +122,10 @@ class RunConfig:
         return out
 
     def build_model(self, data: dict[str, TaskData], seed: int) -> MtlModel:
+        """The model at `seed`; `run_training` applies `plan.freeze_backbone`."""
         return MtlModel.build(
             self.backbone, [data[tid].spec for tid in sorted(data)],
-            spal_hidden=self.spal_hidden, seed=seed,
-            freeze_backbone=self.plan.freeze_backbone, probe=self.probe)
+            spal_hidden=self.spal_hidden, seed=seed, probe=self.probe)
 
 
 def parse_run_config(obj: dict, base_dir: Path = Path(".")) -> RunConfig:

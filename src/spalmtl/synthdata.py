@@ -106,9 +106,7 @@ def task_spec_of(spec: GeneratorSpec, t: SynthTaskSpec) -> TaskSpec:
 
 def _label_weights(spec: GeneratorSpec, kind: str, num_classes: int) -> np.ndarray:
     """Label-function weights shared by all tasks of a (kind, k) pair."""
-    kind_idx = {"seq_regression": 0, "seq_classification": 1,
-                "token_classification": 2}[kind]
-    rng = np.random.default_rng([spec.seed, 0xAB, kind_idx, num_classes])
+    rng = np.random.default_rng([spec.seed, 0xAB, KINDS.index(kind), num_classes])
     if kind == "seq_regression":
         w = rng.normal(size=spec.latent_dim)
         return w / np.linalg.norm(w)
@@ -180,8 +178,7 @@ def _gen_example(spec: GeneratorSpec, task: SynthTaskSpec, rng) -> TaskExample:
     else:
         label = derive_label(spec, task, u)
 
-    ex = TaskExample(token_ids=tokens, label=label, spans=spans, latent=u)
-    return validate_example(task_spec_of(spec, task), ex)
+    return TaskExample(token_ids=tokens, label=label, spans=spans, latent=u)
 
 
 def gen_synthetic_suite(spec: GeneratorSpec) -> dict[str, TaskData]:
@@ -192,7 +189,8 @@ def gen_synthetic_suite(spec: GeneratorSpec) -> dict[str, TaskData]:
         splits = {}
         for si, (name, n) in enumerate(zip(("train", "dev", "test"), task.sizes)):
             rng = np.random.default_rng([spec.seed, ti, si, 0xDA7A])
-            splits[name] = [_gen_example(spec, task, rng) for _ in range(n)]
+            splits[name] = [validate_example(tspec, _gen_example(spec, task, rng))
+                            for _ in range(n)]
         out[task.id] = TaskData(spec=tspec, **splits)
     return out
 

@@ -254,7 +254,8 @@ def entity_macro_f1(gold_tag_seqs: list[list[str]],
 
 def task_metric(spec: TaskSpec, predictions: list, labels: list) -> float:
     """Evaluate a full split. predictions/labels are parallel per-example
-    lists of plain numpy values (no autodiff nodes)."""
+    lists of plain numpy values (no autodiff nodes). A tag example's
+    prediction may be right-padded: it is cut to its label count."""
     if not predictions:
         raise ContractError("task_metric requires a non-empty split")
     if len(predictions) != len(labels):
@@ -270,7 +271,7 @@ def task_metric(spec: TaskSpec, predictions: list, labels: list) -> float:
         correct = total = 0
         for p, y in zip(predictions, labels):
             y = np.asarray(y, dtype=np.int64)
-            correct += int((np.argmax(p, axis=-1) == y).sum())
+            correct += int((np.argmax(p[:y.size], axis=-1) == y).sum())
             total += y.size
         return 100.0 * correct / total
     # entity_macro_f1
@@ -278,7 +279,7 @@ def task_metric(spec: TaskSpec, predictions: list, labels: list) -> float:
     for p, y in zip(predictions, labels):
         y = np.asarray(y, dtype=np.int64)
         gold_seqs.append([spec.tag_names[t] for t in y])
-        pred_seqs.append([spec.tag_names[t] for t in np.argmax(p, axis=-1)])
+        pred_seqs.append([spec.tag_names[t] for t in np.argmax(p[:y.size], axis=-1)])
     return 100.0 * entity_macro_f1(gold_seqs, pred_seqs)
 
 

@@ -32,11 +32,10 @@ def _build(data, seed=1, probe=False):
 def test_single_example_mean_is_that_example(tiny_model):
     model, _ = tiny_model
     ex = TaskExample(token_ids=np.array([4, 5, 6]), label=0)
-    (summary,) = an.task_mean_representation(model, [ex], "t", layers=[2])
+    (mean,) = an.task_mean_representation(model, [ex], layers=[2])
     enc = model.encode(ex.token_ids[None])
     pooled = enc.per_layer_outputs[1].data[0].mean(axis=0)
-    assert summary.layer == 2
-    assert np.max(np.abs(summary.vector - pooled)) < 1e-15
+    assert np.max(np.abs(mean - pooled)) < 1e-15
 
 
 def test_mean_representation_matches_scalar_oracle(tiny_model):
@@ -44,34 +43,31 @@ def test_mean_representation_matches_scalar_oracle(tiny_model):
     examples = [TaskExample(token_ids=np.array([4, 5, 6, 0]), label=0),
                 TaskExample(token_ids=np.array([9, 7]), label=1),
                 TaskExample(token_ids=np.array([11, 12, 13]), label=0)]
-    summaries = an.task_mean_representation(model, examples, "t", layers=[2, 1])
-    assert [s.layer for s in summaries] == [2, 1]
+    means = an.task_mean_representation(model, examples, layers=[2, 1])
+    assert len(means) == 2
     d = TINY.model_dim
-    for summary in summaries:
+    for layer, mean in zip([2, 1], means):
         oracle = np.zeros(d)
         for ex in examples:
             enc = model.encode(ex.token_ids[None])
-            rows = enc.per_layer_outputs[summary.layer - 1].data[enc.attention_mask]
+            rows = enc.per_layer_outputs[layer - 1].data[enc.attention_mask]
             pooled = [sum(rows[i][j] for i in range(rows.shape[0])) / rows.shape[0]
                       for j in range(d)]
             oracle += np.array(pooled)
         oracle /= len(examples)
-        assert np.max(np.abs(summary.vector - oracle)) < 1e-10
+        assert np.max(np.abs(mean - oracle)) < 1e-10
 
 
 def test_identical_summaries_give_unit_generalization():
     v = np.array([1.0, 2.0, 3.0])
-    sums = [an.RepSummary(task_id=str(i), layer=1, vector=v.copy())
-            for i in range(3)]
-    assert an.representation_generalization(sums) == pytest.approx(1.0, abs=1e-12)
+    means = {str(i): v.copy() for i in range(3)}
+    assert an.representation_generalization(means) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_generalization_matches_brute_force_six_pairs():
     rng = np.random.default_rng(0)
     vecs = [rng.normal(size=8) for _ in range(4)]
-    sums = [an.RepSummary(task_id=str(i), layer=3, vector=v)
-            for i, v in enumerate(vecs)]
-    g = an.representation_generalization(sums)
+    g = an.representation_generalization({str(i): v for i, v in enumerate(vecs)})
     pair_vals = []
     for i in range(4):
         for j in range(i + 1, 4):
@@ -89,20 +85,15 @@ def test_generalization_matches_brute_force_six_pairs():
     assert g.hex() == float(np.mean(loop)).hex()
 
 
-def test_generalization_requires_single_layer():
-    v = np.ones(3)
-    mixed = [an.RepSummary("a", 1, v), an.RepSummary("b", 2, v)]
-    with pytest.raises(ContractError):
-        an.representation_generalization(mixed)
-    with pytest.raises(ContractError):
-        an.representation_generalization([an.RepSummary("a", 1, v)])
+def test_generalization_requires_two_tasks():
+    with pytest.raises(ContractError, match=">= 2 tasks"):
+        an.representation_generalization({"a": np.ones(3)})
 
 
 def test_generalization_zero_norm_summary_is_contract_error():
-    sums = [an.RepSummary("a", 1, np.ones(3)), an.RepSummary("b", 1, np.zeros(3)),
-            an.RepSummary("c", 1, np.ones(3))]
+    means = {"a": np.ones(3), "b": np.zeros(3), "c": np.ones(3)}
     with pytest.raises(ContractError, match="zero-norm"):
-        an.representation_generalization(sums)
+        an.representation_generalization(means)
 
 
 def test_rep_gen_at_layers_matches_manual():
@@ -110,13 +101,13 @@ def test_rep_gen_at_layers_matches_manual():
     model = _build(data)
     by_layer = an.rep_gen_at_layers(model, data, [1, 2])
     for layer in (1, 2):
-        sums = []
+        means = {}
         for tid in sorted(data):
             pooled = [model.encode(ex.token_ids[None]).pooled_mean(layer).data[0]
                       for ex in data[tid].train]
-            sums.append(an.RepSummary(tid, layer, np.mean(pooled, axis=0)))
+            means[tid] = np.mean(pooled, axis=0)
         assert by_layer[layer] == pytest.approx(
-            an.representation_generalization(sums), abs=1e-12)
+            an.representation_generalization(means), abs=1e-12)
 
 
 def test_rep_gen_encodes_each_example_once(monkeypatch):

@@ -185,6 +185,18 @@ def test_gradients_accumulate_across_backward_calls():
     assert np.array_equal(p.grad, 2 * np.ones(2))
 
 
+def test_backward_of_a_loss_that_needs_no_gradient_is_a_no_op():
+    w = ad.Param(np.eye(2), name="w", trainable=False)
+    x = ad.Param(np.ones((1, 2)), name="x")
+    frozen = tsum(ad.linear(ad.Tensor(np.ones((1, 2))), w))
+    with ad.no_graph():
+        untracked = tsum(ad.linear(x, w))
+    for loss in (frozen, untracked):
+        assert not loss.requires_grad
+        ad.backward(loss)
+    assert w.grad is None and x.grad is None
+
+
 def test_only_values_that_need_a_gradient_are_recorded():
     w = ad.Param(np.eye(2), name="w", trainable=False)
     x = ad.Param(np.ones((1, 2)), name="x")

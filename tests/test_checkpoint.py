@@ -332,6 +332,33 @@ def test_truncated_file_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("cut", ["prefix", "header"])
+def test_file_cut_before_its_arrays_rejected(tmp_path, cut):
+    """A file that ends inside its 12-byte prefix or its JSON header."""
+    model = _random_model(19)
+    path = tmp_path / "m.spal"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    for end in ((0, 4, 11) if cut == "prefix" else (12, 12 + hlen // 2, 11 + hlen)):
+        path.write_bytes(raw[:end])
+        with pytest.raises(CheckpointTruncatedError, match="file is truncated"):
+            load_checkpoint(path)
+
+
+def test_table_naming_an_unknown_tensor_rejected(tmp_path):
+    model = _random_model(20)
+    path = tmp_path / "m.spal"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    header, body = _split(raw)
+    entry = next(e for e in header["tensors"] if e[0] == "spal.layer0.up")
+    entry[0] = "spal.layer9.up"
+    path.write_bytes(_join(raw, header, body))
+    with pytest.raises(CheckpointFormatError, match="unknown tensor 'spal.layer9.up'"):
+        load_checkpoint(path)
+
+
 def test_config_digest_is_key_order_independent():
     assert config_digest({"a": 1, "b": 2}) == config_digest({"b": 2, "a": 1})
     assert config_digest({"a": 1}) != config_digest({"a": 2})

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spalmtl import engine
 from spalmtl.backbone import TOY, BackboneConfig
 from spalmtl.checkpoint import config_digest, load_checkpoint
 from spalmtl.cli import _parse_int_list, build_parser, main
@@ -88,8 +89,8 @@ def test_criterion3_config_is_the_findata_shaped_suite():
 
 
 def test_findata_config_is_the_scanned_plan_on_the_findata_shaped_suite():
-    """The learning-rate scan's choice (ROADMAP item 1): the largest base_lr
-    at which no cell collapsed, with a warmup of about 5% of the run."""
+    """The learning-rate scan's choice: the largest base_lr at which no cell
+    collapsed, with a warmup of about 5% of the run."""
     cfg = load_run_config(CONFIGS / "findata_toy.json")
     assert cfg.data.generator == findata_shaped_suite(seed=0)
     assert (cfg.backbone, cfg.spal_hidden, cfg.probe) == (TOY, 16, False)
@@ -103,8 +104,8 @@ def test_findata_config_is_the_scanned_plan_on_the_findata_shaped_suite():
      TrainPlan(epochs=15, eval_interval=10, seed=1, base_lr=1e-2, warmup_steps=12)),
 ], ids=["capacity_sweep", "diagnostics"])
 def test_short_toy_config_plan_is_the_scanned_plan(name, plan):
-    """ROADMAP item 1: the largest scanned base_lr at which no cell diverged,
-    a warmup of about 5% and a run long enough to train."""
+    """The learning-rate scan's choice: the largest base_lr at which no cell
+    diverged, a warmup of about 5% and a run long enough to train."""
     assert load_run_config(CONFIGS / name).plan == plan
 
 
@@ -324,7 +325,7 @@ def test_non_integer_spal_hidden_is_cli_error(tmp_path, capsys):
     (_jsonl(dict(JSONL_TASK, num_classes="2")), "data.jsonl[0].num_classes"),
     (_jsonl(dict(JSONL_TASK, train=1)), "data.jsonl[0].train"),
     ({"analysis": {"rep_gen": 1}}, "analysis.rep_gen"),
-    ({"out_dir": 3}, "out_dir"),
+    ({"out_dir": 3}, "unknown keys ['out_dir'] in run config"),
     ({"analysis": {"rep_gen": True, "layers": [True]}}, "analysis.layers"),
     ({"spal_hidden": 0}, "spal_hidden must be positive, got 0"),
     ({"spal_hidden": -1}, "spal_hidden must be positive, got -1"),
@@ -501,14 +502,58 @@ def test_checked_in_config_runs_its_readme_command(tmp_path, monkeypatch, name):
 
 
 def test_transfer_finetunes_from_checkpoint(tmp_path, capsys):
+    """With --out, transfer writes its run.json, the same bytes on every run."""
     cfg = _write_config(tmp_path)
     out = tmp_path / "run"
     main(["train", "--config", str(cfg), "--out", str(out)])
     capsys.readouterr()
-    assert main(["transfer", "--config", str(cfg),
-                 "--checkpoint", str(out / "ckpt_final.spal"),
-                 "--task", "alpha", "--shots", "8,4", "--epochs", "1"]) == 0
-    assert "alpha: best" in capsys.readouterr().out
+    for name in ("t1", "t2"):
+        assert main(["transfer", "--config", str(cfg),
+                     "--checkpoint", str(out / "ckpt_final.spal"), "--task", "alpha",
+                     "--shots", "8,4", "--epochs", "1", "--out", str(tmp_path / name)]) == 0
+    assert [p.name for p in (tmp_path / "t1").iterdir()] == ["run.json"]
+    run = (tmp_path / "t1" / "run.json").read_bytes()
+    assert run == (tmp_path / "t2" / "run.json").read_bytes()
+    assert json.loads(run)["task_ids"] == ["alpha"]
+    best = json.loads(run)["best"]["alpha"]
+    assert capsys.readouterr().out.endswith(
+        f"alpha: best {best['score']:.4f} at step {best['step']}\n")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["transfer", "--checkpoint", "{tmp}/absent.spal", "--task", "gamma"], "--task"),
+    (["ablate-tasks", "--order", "beta,gamma", "--out", "{tmp}/ablate"], "--order"),
+], ids=["transfer_task", "ablate_order"])
+def test_unknown_task_name_is_one_error_line(tmp_path, capsys, argv, flag):
+    """The task name is checked before any checkpoint is read or run made."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv[:1] + ["--config", str(_write_config(tmp_path))] + argv[1:]) == 1
+    assert capsys.readouterr().err == f"error: {flag} names unknown task 'gamma'\n"
+    assert not (tmp_path / "ablate").exists()
+
+
+def test_train_without_dev_examples_fails_before_its_first_step(tmp_path, capsys, monkeypatch):
+    """A data.jsonl task without a dev file cannot train, and the run says
+    so before its first step; eval and analyze read such a config."""
+    (tmp_path / "train.jsonl").write_text("".join(
+        json.dumps({"tokens": [4 + i, 5, 6], "label": i % 2}) + "\n" for i in range(8)))
+    (tmp_path / "dev.jsonl").write_text((tmp_path / "train.jsonl").read_text())
+    task = dict(JSONL_TASK, batch_size=4, train="train.jsonl")
+    plan = {"epochs": 5, "eval_interval": 10, "seed": 1}
+    no_dev = _write_config(tmp_path, "no_dev.json", plan=plan, **_jsonl(task))
+    steps, real = [], engine.train_step
+    monkeypatch.setattr(engine, "train_step", lambda *a: steps.append(1) or real(*a))
+    assert main(["train", "--config", str(no_dev), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == ("error: no dev examples for task(s) ['j']: "
+                                       "training evaluates each task on its dev split\n")
+    assert steps == []
+    with_dev = _write_config(tmp_path, plan=plan, **_jsonl(dict(task, dev="dev.jsonl")))
+    assert main(["train", "--config", str(with_dev), "--out", str(tmp_path / "run")]) == 0
+    assert len(steps) == 10
+    ckpt = str(tmp_path / "run" / "ckpt_final.spal")
+    assert main(["eval", "--config", str(no_dev), "--checkpoint", ckpt, "--split", "train"]) == 0
+    assert main(["analyze", "--config", str(no_dev), "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "analysis")]) == 0
 
 
 def test_malformed_shots_is_cli_error(tmp_path, capsys):

@@ -280,6 +280,30 @@ def test_resume_midway_matches_uninterrupted():
     assert resumed.evals == full.evals
 
 
+def test_resume_at_the_last_step_without_an_eval_evaluates_once(monkeypatch):
+    """A record with no eval whose optimizer already stands at the last step
+    runs no step and evaluates once, at that step."""
+    data = two_task_suite()
+    plan = TrainPlan(epochs=1, eval_interval=10_000, seed=1)
+    total = len(build_stream(plan, data))
+    record = RunRecord(seed=1, task_ids=sorted(data), plan_fingerprint=plan.fingerprint(),
+                       total_steps=total,
+                       optimizer_state=OptimizerState(total_steps=total, step=total))
+    monkeypatch.setattr(engine, "train_step", lambda *a: pytest.fail("a step ran"))
+    record = run_training(plan, _build(data), data, record=record)
+    assert [s for s, _ in record.evals] == [total] and record.losses == []
+    assert {b["step"] for b in record.best.values()} == {total}
+
+
+def test_empty_dev_split_is_refused_before_the_first_step(monkeypatch):
+    data = two_task_suite()
+    for tid in data:
+        data[tid].dev = []
+    monkeypatch.setattr(engine, "train_step", lambda *a: pytest.fail("a step ran"))
+    with pytest.raises(ConfigError, match=r"no dev examples for task\(s\) \['alpha', 'beta'\]"):
+        run_training(TrainPlan(epochs=1, seed=1), _build(data), data)
+
+
 # -- selection and aggregation ----------------------------------------------
 
 def _best_under_scripted_scores(monkeypatch, kind, metric, scores):
@@ -321,13 +345,14 @@ def _record_with_best(seed, score, task="t"):
 
 def test_aggregate_two_seeds():
     agg = aggregate_seeds([_record_with_best(1, 86.0), _record_with_best(2, 88.0)])
-    assert agg.per_task["t"]["mean"] == pytest.approx(87.0)
-    assert agg.per_task["t"]["std"] == pytest.approx(1.0)
+    assert agg["seeds"] == [1, 2]
+    assert agg["per_task"]["t"]["mean"] == pytest.approx(87.0)
+    assert agg["per_task"]["t"]["std"] == pytest.approx(1.0)
 
 
 def test_aggregate_identical_scores_zero_std():
     agg = aggregate_seeds([_record_with_best(s, 90.0) for s in (1, 2, 3)])
-    assert agg.per_task["t"]["std"] == 0.0
+    assert agg["per_task"]["t"]["std"] == 0.0
 
 
 def test_aggregate_matches_scalar_oracle():
@@ -335,8 +360,8 @@ def test_aggregate_matches_scalar_oracle():
     agg = aggregate_seeds([_record_with_best(i, s) for i, s in enumerate(scores)])
     mean = sum(scores) / 5
     var = sum((s - mean) ** 2 for s in scores) / 5
-    assert agg.per_task["t"]["mean"] == pytest.approx(mean, abs=1e-12)
-    assert agg.per_task["t"]["std"] == pytest.approx(var ** 0.5, abs=1e-12)
+    assert agg["per_task"]["t"]["mean"] == pytest.approx(mean, abs=1e-12)
+    assert agg["per_task"]["t"]["std"] == pytest.approx(var ** 0.5, abs=1e-12)
 
 
 def test_aggregate_needs_two_matching_records():

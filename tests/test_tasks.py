@@ -275,6 +275,19 @@ def test_token_accuracy_counts_positions():
     assert task_metric(spec, preds, labels) == pytest.approx(80.0)
 
 
+@pytest.mark.parametrize("metric", ["token_accuracy", "entity_macro_f1"])
+def test_tag_metric_cuts_padded_predictions_to_the_label_count(metric):
+    """Predictions padded past an example's length (as a batch's logits are)
+    score as the unpadded ones."""
+    spec = TaskSpec(id="t", kind="token_classification", metric=metric,
+                    num_classes=3, tag_names=("O", "B-E0", "I-E0"))
+    onehot = np.eye(3)
+    preds = [onehot[[0, 1, 1]], onehot[[1, 2]]]
+    padded = [onehot[[0, 1, 1, 1]], onehot[[1, 2, 1, 1]]]
+    labels = [np.array([0, 1, 2]), np.array([1, 2])]
+    assert task_metric(spec, padded, labels) == task_metric(spec, preds, labels)
+
+
 def test_macro_f1_hand_chunked_case():
     gold = [["B-A", "I-A", "O"], ["B-B", "O", "O"], ["O", "O", "O"]]
     # boundary error on the B span, A span exact
